@@ -1,37 +1,15 @@
-// Ablation: empirical competitive ratios vs. the offline-optimal oracle
-// (DESIGN.md §12). Re-runs the Fig. 8 star workload (SPQ(1)/DRR(4), web
-// search flows, PIAS tagging) with the bottleneck-port arrival trace
-// recorded, replays each trace through oracle::OfflineOptimal, and prints
-// the measured optimal/policy goodput ratio per scheme next to the
-// worst-case bounds from the buffer-sharing literature: LQD is
-// 1.5-competitive (Matsakis), Harmonic is (2+ln n)-competitive (Addanki et
-// al.). Measured ratios on a benign workload sit far below the adversarial
-// bounds; the interesting signal is the ordering between schemes and how it
-// shifts with load. (scheme x load x seed) runs through the sweep engine:
-// --jobs N parallelizes, --json emits per-job oracle blocks (schema v5).
-#include <cmath>
-
+// Ablation: DynaQ against the shared-buffer baselines of the
+// competitive-analysis literature (PAPERS.md) on the Fig. 8 star workload
+// (SPQ(1)/DRR(4), web search flows, PIAS tagging): classic Dynamic
+// Threshold, LQD push-out (Matsakis), Harmonic rank caps (Addanki et al.)
+// and BestEffort. Prints the FCT tables normalized by DynaQ and the
+// drop-reason breakdown: threshold, victim_unsat and victim_small count the
+// packets a policy dropped while the port still had room, port_full the
+// drops at a full buffer. (scheme x load x seed) runs through the sweep
+// engine: --jobs N parallelizes, --json emits the per-job records.
 #include "bench/fct_common.hpp"
 
 using namespace dynaq;
-
-namespace {
-
-// Worst-case competitive-ratio bound from the literature, or "-" where no
-// constant-factor bound is known for the shared-memory push-out model.
-std::string literature_bound(core::SchemeKind kind, int num_queues) {
-  switch (kind) {
-    case core::SchemeKind::kLongestQueueDrop:
-      return "1.50 (Matsakis)";
-    case core::SchemeKind::kHarmonic:
-      return bench::fmt(2.0 + std::log(static_cast<double>(num_queues)), 2) +
-             " (2+ln " + std::to_string(num_queues) + ", Addanki)";
-    default:
-      return "-";
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
@@ -47,94 +25,26 @@ int main(int argc, char** argv) {
   sweep.seeds = cli.reals("seeds", full ? std::vector<double>{1, 2, 3, 4, 5}
                                         : std::vector<double>{1, 2, 3});
 
-  std::puts("Ablation — competitive ratio vs. offline-optimal oracle (DESIGN.md §12)");
-  std::printf("(fig08 star workload: SPQ(1)/DRR(4), web search, %zu flows per run;\n",
-              sweep.flows);
-  std::puts(" ratio = clairvoyant-optimal bytes / policy bytes at the bottleneck port)\n");
+  std::puts("Ablation — DynaQ vs DT, LQD, Harmonic and BestEffort, SPQ(1)/DRR(4), web search");
+  std::printf("(%zu flows per run, PIAS demotion at 100KB, TCP/NewReno)\n\n", sweep.flows);
 
-  const int num_queues = 5;  // testbed star: SPQ(1) + DRR(4) service queues
-  auto run = bench::run_sweep(
-      cli, "abl_competitive",
-      bench::scheme_load_seed_spec(sweep.schemes, sweep.loads, sweep.seeds),
-      [&sweep](const sweep::JobPoint& point) {
-        const auto kind = core::parse_scheme(point.label("scheme"));
-        harness::DynamicStarConfig cfg;
-        cfg.star = bench::testbed_star(kind, /*num_hosts=*/5, {1, 1, 1, 1, 1});
-        cfg.star.scheduler = topo::SchedulerKind::kSpqOverDrr;
-        cfg.client_host = 0;
-        cfg.num_servers = 4;
-        cfg.num_flows = sweep.flows;
-        cfg.load = point.number("load");
-        cfg.dist = &workload::web_search_workload();
-        cfg.cc = core::scheme_uses_ecn(kind) ? sweep.ecn_cc : sweep.default_cc;
-        cfg.pias = true;
-        cfg.pias_threshold_bytes = 100'000;
-        cfg.first_service_queue = 1;
-        cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
-        cfg.oracle_competitive = true;
-        auto r = harness::run_dynamic_star_experiment(cfg);
-        sweep::JobResult job{bench::fct_metrics(r), std::move(r.telemetry)};
-        job.trajectory_hash = r.trajectory_hash;
-        if (r.oracle) {
-          job.metrics["competitive_ratio"] = r.oracle->ratio;
-          job.metrics["oracle_optimal_mb"] = r.oracle->optimal_bytes / 1e6;
-          job.metrics["oracle_policy_mb"] =
-              static_cast<double>(r.oracle->policy_bytes) / 1e6;
-          job.metrics["oracle_offered_mb"] =
-              static_cast<double>(r.oracle->offered_bytes) / 1e6;
-          job.metrics["oracle_policy_drops"] =
-              static_cast<double>(r.oracle->policy_drops);
-          job.metrics["oracle_opt_pushouts"] =
-              static_cast<double>(r.oracle->opt_pushouts);
-        }
-        job.oracle = std::move(r.oracle);
-        return job;
-      });
+  const auto run = bench::run_fct_sweep(cli, "abl_competitive", sweep);
+  const auto results = bench::fct_results_from_store(run.store);
+  bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
+                          "(a) average FCT, overall", &stats::FctSummary::avg_overall_ms);
+  bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
+                          "(b) average FCT, small flows (<=100KB)",
+                          &stats::FctSummary::avg_small_ms);
+  bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
+                          "(c) 99th percentile FCT, small flows",
+                          &stats::FctSummary::p99_small_ms);
+  bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
+                          "(d) average FCT, large flows (>10MB)",
+                          &stats::FctSummary::avg_large_ms);
+  bench::print_drop_breakdown(run.store);
 
-  // Seed-mean table: measured ratio next to the adversarial literature
-  // bound. Rows ordered scheme-major to keep each scheme's load trend
-  // adjacent.
-  const auto aggregates = run.store.aggregate("seed");
-  harness::Table t({"scheme", "load", "ratio", "policy_MB", "optimal_MB", "drops",
-                    "literature_bound"});
-  for (const auto kind : sweep.schemes) {
-    const std::string scheme = std::string(core::scheme_name(kind));
-    for (const double load : sweep.loads) {
-      const sweep::AggregateRow* found = nullptr;
-      for (const auto& row : aggregates) {
-        bool match_scheme = false, match_load = false;
-        for (const auto& [axis, value] : row.coords) {
-          if (axis == "scheme" && value.label == scheme) match_scheme = true;
-          if (axis == "load" && value.number == load) match_load = true;
-        }
-        if (match_scheme && match_load) {
-          found = &row;
-          break;
-        }
-      }
-      const auto metric = [&found](const char* name) {
-        if (found == nullptr) return 0.0;
-        const auto it = found->metrics.find(name);
-        return it == found->metrics.end() ? 0.0 : it->second.mean;
-      };
-      if (found == nullptr || found->replicas == 0 ||
-          found->metrics.find("competitive_ratio") == found->metrics.end()) {
-        t.row({scheme, bench::fmt(load * 100, 0) + "%", "n/a", "n/a", "n/a", "n/a",
-               literature_bound(kind, num_queues)});
-        continue;
-      }
-      t.row({scheme, bench::fmt(load * 100, 0) + "%",
-             bench::fmt(metric("competitive_ratio"), 4),
-             bench::fmt(metric("oracle_policy_mb"), 2),
-             bench::fmt(metric("oracle_optimal_mb"), 2),
-             bench::fmt(metric("oracle_policy_drops"), 0),
-             literature_bound(kind, num_queues)});
-    }
-  }
-  t.print();
-  std::puts("");
-  std::puts("ratio >= 1 by construction (aggregate optimum is work-conserving over the");
-  std::puts("recorded arrivals); closer to 1 = fewer bytes lost vs. a clairvoyant");
-  std::puts("shared-buffer allocator on the identical arrival sequence.");
+  std::puts("expected shape: DynaQ's overall FCT no worse than DT's (abl.dynaq_fct_vs_dt);");
+  std::puts("LQD and BestEffort drop only at a full buffer (port_full), the threshold");
+  std::puts("schemes also drop early (threshold / victim columns)");
   return run.exit_code;
 }

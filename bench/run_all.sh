@@ -68,8 +68,8 @@ for abl in abl_victim_selection abl_satisfaction abl_dt_baseline abl_eviction \
   run "$BUILD_DIR/bench/$abl"
 done
 
-# Competitive-ratio ablation vs. the offline-optimal oracle (DESIGN.md
-# §12): per-job oracle blocks land in json/abl_competitive.json.
+# DynaQ vs the shared-buffer baselines DT, LQD and Harmonic on the Fig. 8
+# workload (DESIGN.md §12); abl.dynaq_fct_vs_dt reads its JSON.
 run "$BUILD_DIR/bench/abl_competitive" $FULL_FLAG "$JOBS_FLAG" --json "$OUT_DIR/json"
 
 # Robustness sweeps under mid-run scenarios (DESIGN.md §11): weight churn

@@ -4,6 +4,7 @@
 #
 #   1. RelWithDebInfo with -Werror           (the performance configuration)
 #      + trajectory-hash differential gate   (DESIGN.md §10)
+#      + perfbench self-tests                (perfbench/README.md)
 #   2. Debug with ASan+UBSan, full ctest     (the memory/UB configuration)
 #   3. TSan on the sweep worker pool         (the data-race configuration)
 #   4. Convention + determinism lint (+ clang-tidy when available)
@@ -59,6 +60,14 @@ build-ci/tools/report_gen --gate \
     --history BENCH_history.jsonl \
     --rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     --out results/REPORT.md
+echo "==> [1/4] perfbench self-tests (GTest + run.py)"
+# The repo benchmark compiles src/ through its own CMake package, so a
+# library change can break it without breaking the root build; its traced ==
+# untraced and replay-exactness cases run here.
+cmake -S perfbench -B build-ci/perfbench -G Ninja > /dev/null
+cmake --build build-ci/perfbench -j "$jobs" --target perfbench_test
+build-ci/perfbench/perfbench_test
+python3 perfbench/tests/test_run.py
 
 if [[ $skip_asan -eq 0 ]]; then
   echo "==> [2/4] ASan+UBSan ctest"
@@ -81,9 +90,9 @@ if [[ $skip_asan -eq 0 ]]; then
   # RecoveryInstrument subscription must be clean of UB and leaks.
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/rob_controller --duration-s=1 \
       --scenario=controller_crash --schemes=DynaQ --seeds=1 --strict > /dev/null
-  echo "==> [2/4] ASan+UBSan oracle smoke (abl_competitive, DESIGN.md §12)"
-  # Trace recording off the hub taps + the offline-optimal replay under the
-  # sanitizers, covering the new LQD/Harmonic policies under audit.
+  echo "==> [2/4] ASan+UBSan baseline smoke (abl_competitive, DESIGN.md §12)"
+  # The LQD push-out and Harmonic policies under audit, on the Fig. 8
+  # workload, under the sanitizers.
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/abl_competitive --flows=120 \
       --seeds=1 --schemes=DynaQ,LQD,Harmonic --strict > /dev/null
 else

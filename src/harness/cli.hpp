@@ -2,9 +2,13 @@
 // --name=value, --name value, and boolean --name. Every accessor records
 // the flag name it was asked for, so after a binary has read all its flags
 // it can call unknown() / complain_unknown() to catch typos
-// (--seeed=3 used to be silently ignored).
+// (--seeed=3 used to be silently ignored). Numeric accessors accept only a
+// value that parses completely: --flows=4x, --seeds=abc or a bare --flows
+// print an error naming the flag and exit with status 2.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,13 +52,13 @@ class Cli {
   std::int64_t integer(const std::string& name, std::int64_t fallback) const {
     queried_.insert(name);
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+    return it == values_.end() ? fallback : parse_integer(name, it->second);
   }
 
   double real(const std::string& name, double fallback) const {
     queried_.insert(name);
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return it == values_.end() ? fallback : parse_real(name, it->second);
   }
 
   std::string text(const std::string& name, std::string fallback) const {
@@ -74,7 +78,7 @@ class Cli {
     while (pos < s.size()) {
       std::size_t next = s.find(',', pos);
       if (next == std::string::npos) next = s.size();
-      out.push_back(std::strtod(s.substr(pos, next - pos).c_str(), nullptr));
+      out.push_back(parse_real(name, std::string_view(s).substr(pos, next - pos)));
       pos = next + 1;
     }
     return out;
@@ -120,6 +124,31 @@ class Cli {
   }
 
  private:
+  [[noreturn]] static void reject(const std::string& name, std::string_view value,
+                                  const char* expected) {
+    std::fprintf(stderr, "error: --%s: '%.*s' is not %s\n", name.c_str(),
+                 static_cast<int>(value.size()), value.data(), expected);
+    std::exit(2);
+  }
+
+  static std::int64_t parse_integer(const std::string& name, std::string_view value) {
+    std::int64_t out = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (value.empty() || ec != std::errc() || ptr != end) reject(name, value, "an integer");
+    return out;
+  }
+
+  static double parse_real(const std::string& name, std::string_view value) {
+    double out = 0.0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (value.empty() || ec != std::errc() || ptr != end || !std::isfinite(out)) {
+      reject(name, value, "a finite number");
+    }
+    return out;
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> queried_;
 };

@@ -5,7 +5,6 @@
 
 #include "check/invariant_auditor.hpp"
 #include "check/trajectory_hash.hpp"
-#include "oracle/trace_recorder.hpp"
 #include "scenario/director.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -76,28 +75,15 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
   std::size_t outstanding = config.num_flows;
 
   telemetry::Hub hub(sim, {.enabled = config.collect_telemetry ||
-                                      config.fingerprint_trajectory ||
-                                      config.oracle_competitive,
+                                      config.fingerprint_trajectory,
                            .ring_capacity = config.telemetry_ring,
                            .fingerprint = config.fingerprint_trajectory});
-  const std::string bottleneck_name = "sw.p" + std::to_string(config.client_host);
   if (hub.enabled()) {
-    topo.port_qdisc(config.client_host).attach_telemetry(hub, bottleneck_name);
+    topo.port_qdisc(config.client_host)
+        .attach_telemetry(hub, "sw.p" + std::to_string(config.client_host));
     for (int i = 0; i < topo.num_hosts(); ++i) {
       topo.host(i).nic().attach_telemetry(hub, "h" + std::to_string(i) + ".nic");
     }
-  }
-  // Oracle trace at the client downlink (DESIGN.md §12): the egress Port
-  // joins the hub under the qdisc's observation-point name so its wire taps
-  // (serialization starts) become the trace's drain records.
-  std::optional<oracle::ArrivalTraceRecorder> oracle_recorder;
-  if (config.oracle_competitive) {
-    topo.fabric().port(config.client_host).attach_telemetry(hub, bottleneck_name);
-    oracle_recorder.emplace(
-        hub, oracle::TraceRecorderConfig{
-                 bottleneck_name,
-                 config.star.link_rate_bps * config.star.egress_rate_factor,
-                 config.star.buffer_bytes, config.star.queue_weights});
   }
 
   const double rate = workload::arrival_rate_for_load(
@@ -152,10 +138,6 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
     th.fold(sim).fold(hub);
     for (int i = 0; i < topo.num_hosts(); ++i) fold_ledger(th, topo.port_qdisc(i));
     result.trajectory_hash = th.value();
-  }
-  if (oracle_recorder) {
-    oracle_recorder->set_horizon(sim.now());
-    result.oracle = oracle::evaluate(oracle_recorder->trace());
   }
   return result;
 }

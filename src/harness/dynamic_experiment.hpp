@@ -4,11 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "oracle/report.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/fct_recorder.hpp"
 #include "telemetry/hub.hpp"
@@ -52,9 +50,6 @@ struct DynamicStarConfig {
   std::size_t telemetry_ring = 4096;
   // Trajectory-fingerprint oracle (DESIGN.md §10); see StaticExperimentConfig.
   bool fingerprint_trajectory = true;
-  // Record the client downlink's arrival/drain trace and evaluate the
-  // offline-optimal allocator (DESIGN.md §12); see StaticExperimentConfig.
-  bool oracle_competitive = false;
   // Optional mid-run timeline (DESIGN.md §11). Dynamic runs register only
   // topology handles (no per-queue sender lists, no incast launcher), so
   // arm() rejects service_join/leave and incast_burst actions here.
@@ -73,10 +68,6 @@ struct DynamicExperimentResult {
   std::vector<std::string> telemetry_ports;        // observation-point names
   std::uint64_t trajectory_hash = 0;  // 0 when fingerprint_trajectory is off
   std::uint64_t scenario_actions = 0;  // timeline mutations applied (DESIGN.md §11)
-  // Competitive ratios vs. the offline optimum at the bottleneck port
-  // (DESIGN.md §12); set iff the config enables oracle_competitive (star
-  // runs only — the leaf-spine fabric has no single bottleneck port).
-  std::optional<oracle::Report> oracle;
 };
 
 DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& config);

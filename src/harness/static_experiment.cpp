@@ -6,7 +6,6 @@
 #include "check/invariant_auditor.hpp"
 #include "check/trajectory_hash.hpp"
 #include "ctrlplane/recovery_instrument.hpp"
-#include "oracle/trace_recorder.hpp"
 #include "scenario/director.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -48,8 +47,7 @@ StaticExperimentResult run_static_experiment(const StaticExperimentConfig& confi
   // every host NIC report into it; queue_samples ride the hub's series.
   const bool collect = config.collect_telemetry || config.queue_samples > 0;
   telemetry::Hub hub(sim,
-                     {.enabled = collect || config.fingerprint_trajectory ||
-                                 config.oracle_competitive,
+                     {.enabled = collect || config.fingerprint_trajectory,
                       .ring_capacity = config.telemetry_ring,
                       .fingerprint = config.fingerprint_trajectory});
   const std::string bottleneck_name = "sw.p" + std::to_string(config.receiver_host);
@@ -64,18 +62,6 @@ StaticExperimentResult run_static_experiment(const StaticExperimentConfig& confi
   std::optional<ctrlplane::RecoveryInstrument> recovery;
   if (config.control_plane.enabled && hub.enabled()) {
     recovery.emplace(hub, hub.register_port(bottleneck_name));
-  }
-  // Oracle trace (DESIGN.md §12): drains come off the egress Port's wire
-  // taps, so the port joins the hub under the same observation-point name
-  // as its qdisc (switch port index == host index on a star).
-  std::optional<oracle::ArrivalTraceRecorder> oracle_recorder;
-  if (config.oracle_competitive) {
-    topo.fabric().port(config.receiver_host).attach_telemetry(hub, bottleneck_name);
-    oracle_recorder.emplace(
-        hub, oracle::TraceRecorderConfig{
-                 bottleneck_name,
-                 config.star.link_rate_bps * config.star.egress_rate_factor,
-                 config.star.buffer_bytes, config.star.queue_weights});
   }
   if (config.queue_samples > 0) {
     hub.enable_queue_sampling(config.queue_samples, config.queue_sample_skip);
@@ -191,10 +177,6 @@ StaticExperimentResult run_static_experiment(const StaticExperimentConfig& confi
       }
     }
     result.trajectory_hash = th.value();
-  }
-  if (oracle_recorder) {
-    oracle_recorder->set_horizon(sim.now());
-    result.oracle = oracle::evaluate(oracle_recorder->trace());
   }
   return result;
 }

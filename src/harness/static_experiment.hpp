@@ -5,16 +5,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include <string>
 
 #include "ctrlplane/control_plane.hpp"
 #include "net/multi_queue_qdisc.hpp"
-#include "oracle/report.hpp"
 #include "scenario/scenario.hpp"
-#include "stats/queue_sampler.hpp"
 #include "stats/throughput_meter.hpp"
 #include "telemetry/hub.hpp"
 #include "topo/star.hpp"
@@ -66,16 +63,6 @@ struct StaticExperimentConfig {
   // pop stream + telemetry event bus + per-port audit ledgers. Equal seeds
   // must yield equal hashes; ci.sh diffs them across repeat/jobs/seed runs.
   bool fingerprint_trajectory = true;
-  // Record the bottleneck port's arrival/drain trace off the telemetry taps
-  // and evaluate the clairvoyant offline-optimal allocator over it
-  // (DESIGN.md §12): the result carries an oracle::Report with empirical
-  // competitive ratios. Off by default — recording buffers one TraceEvent
-  // per packet operation at the port. Wire taps are not folded into the
-  // trajectory fingerprint, so turning this on leaves trajectory_hash
-  // byte-identical. Scenario timelines that resize the buffer or rewrite
-  // weights mid-run make the bound approximate (the solver replays the
-  // configured values).
-  bool oracle_competitive = false;
   // Control-plane model (DESIGN.md §14): when enabled and the scheme is
   // kDynaQ, every switch port runs its DynaQ policy behind a
   // ctrlplane::ControlPlanePolicy shim (async threshold updates, watchdog
@@ -93,7 +80,7 @@ struct StaticExperimentConfig {
 
 struct StaticExperimentResult {
   stats::ThroughputMeter meter;
-  std::vector<stats::QueueLengthSample> queue_samples;
+  std::vector<telemetry::QueueSample> queue_samples;
   net::MqStats bottleneck_stats;
   transport::SenderStats sender_totals;  // summed over all flows
   std::uint64_t events = 0;
@@ -102,9 +89,6 @@ struct StaticExperimentResult {
   std::vector<std::string> telemetry_ports;        // observation-point names
   std::uint64_t trajectory_hash = 0;  // 0 when fingerprint_trajectory is off
   std::uint64_t scenario_actions = 0;  // timeline mutations applied (DESIGN.md §11)
-  // Competitive ratios vs. the offline optimum (DESIGN.md §12); set iff
-  // config.oracle_competitive.
-  std::optional<oracle::Report> oracle{};
 };
 
 StaticExperimentResult run_static_experiment(const StaticExperimentConfig& config);

@@ -1,8 +1,8 @@
 // Fault-injection queue disciplines for tests and experiments: wrap any
 // link with deterministic or random loss without touching the component
 // under test. When attached to a telemetry hub, injected losses emit
-// Drop{reason: injected} events and bump the hub's "drops_injected" counter
-// so they stay distinguishable from policy drops in every summary.
+// Drop{reason: injected} events, so they stay distinguishable from policy
+// drops in every summary.
 #pragma once
 
 #include <set>
@@ -16,20 +16,17 @@ namespace detail {
 
 // Telemetry plumbing shared by the loss queues: the wrapper and its inner
 // DropTailQueue register under the same observation-point name, and every
-// injected loss is both counted (hub metrics registry, allocation-free
-// cached reference) and emitted on the event bus.
+// injected loss is emitted on the event bus.
 class LossTelemetry {
  public:
   void attach(telemetry::Hub& hub, const std::string& name, QueueDisc& inner) {
     hub_ = &hub;
     tel_port_ = static_cast<std::int16_t>(hub.register_port(name));
-    counter_ = &hub.metrics().counter("drops_injected");
     inner.attach_telemetry(hub, name);
   }
 
   void on_injected(const Packet& p) {
     if (hub_ == nullptr || !hub_->enabled()) return;
-    counter_->add();
     hub_->emit({.kind = telemetry::EventKind::kDrop,
                 .reason = telemetry::DropReason::kInjected,
                 .port = tel_port_,
@@ -40,7 +37,6 @@ class LossTelemetry {
 
  private:
   telemetry::Hub* hub_ = nullptr;
-  telemetry::Counter* counter_ = nullptr;
   std::int16_t tel_port_ = -1;
 };
 

@@ -5,30 +5,6 @@
 namespace dynaq::report {
 namespace {
 
-OracleQueueRow load_oracle_queue(const Json& q) {
-  OracleQueueRow row;
-  row.queue = q.integer_or("queue", 0);
-  row.offered_bytes = q.number_or("offered_bytes", 0.0);
-  row.policy_bytes = q.number_or("policy_bytes", 0.0);
-  row.optimal_bytes = q.number_or("optimal_bytes", 0.0);
-  row.ratio = q.number_or("ratio", 0.0);
-  return row;
-}
-
-OracleBlock load_oracle(const Json& o) {
-  OracleBlock block;
-  block.port = o.string_or("port", "");
-  block.offered_bytes = o.number_or("offered_bytes", 0.0);
-  block.policy_bytes = o.number_or("policy_bytes", 0.0);
-  block.optimal_bytes = o.number_or("optimal_bytes", 0.0);
-  block.ratio = o.number_or("ratio", 0.0);
-  block.trace_fingerprint = o.string_or("trace_fingerprint", "");
-  if (const Json* queues = o.find("queues"); queues != nullptr && queues->is_array()) {
-    for (const Json& q : queues->as_array()) block.queues.push_back(load_oracle_queue(q));
-  }
-  return block;
-}
-
 SweepJob load_job(const Json& j) {
   SweepJob job;
   job.id = j.integer_or("id", 0);
@@ -50,9 +26,6 @@ SweepJob load_job(const Json& j) {
     }
   }
   job.trajectory_hash = j.string_or("trajectory_hash", "");
-  if (const Json* oracle = j.find("oracle"); oracle != nullptr && oracle->is_object()) {
-    job.oracle = load_oracle(*oracle);
-  }
   return job;
 }
 

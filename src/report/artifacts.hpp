@@ -16,25 +16,6 @@
 
 namespace dynaq::report {
 
-// Per-queue row of a job's offline-optimal oracle block (DESIGN.md §12).
-struct OracleQueueRow {
-  std::int64_t queue = 0;
-  double offered_bytes = 0.0;
-  double policy_bytes = 0.0;
-  double optimal_bytes = 0.0;
-  double ratio = 0.0;
-};
-
-struct OracleBlock {
-  std::string port;
-  double offered_bytes = 0.0;
-  double policy_bytes = 0.0;
-  double optimal_bytes = 0.0;
-  double ratio = 0.0;
-  std::string trace_fingerprint;
-  std::vector<OracleQueueRow> queues;
-};
-
 // One job of a sweep document. Grid-point coordinates are split by JSON
 // type: labels (e.g. scheme) vs numbers (e.g. load, seed).
 struct SweepJob {
@@ -46,7 +27,6 @@ struct SweepJob {
   std::string error;
   std::map<std::string, double> metrics;
   std::string trajectory_hash;
-  std::optional<OracleBlock> oracle;
 };
 
 struct SweepDoc {

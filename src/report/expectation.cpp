@@ -1,6 +1,5 @@
 #include "report/expectation.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -87,18 +86,18 @@ struct ValueSpan {
     if (v > max) max = v;
     ++n;
   }
-  std::string render(const std::string& what, const std::string& unit_word) const {
+  std::string render(const std::string& what) const {
     if (n == 0) return "";
     std::string out = what + " = " + fmt(min);
     if (n > 1 && max != min) out += ".." + fmt(max);
-    out += " over " + std::to_string(n) + " " + unit_word + (n == 1 ? "" : "s");
+    out += " over " + std::to_string(n) + (n == 1 ? " point" : " points");
     return out;
   }
 };
 
 std::string bound_text(const Expectation& e, double hi) {
   std::string out;
-  if (e.lo > 0.0 || e.kind == ExpectationKind::kOracleBound) out += ">= " + fmt(e.lo);
+  if (e.lo > 0.0) out += ">= " + fmt(e.lo);
   if (!e.unbounded_above) {
     if (!out.empty()) out += ", ";
     out += "<= " + fmt(hi);
@@ -121,7 +120,6 @@ class Evaluator {
       case ExpectationKind::kMetricBound: eval_metric_bound(); break;
       case ExpectationKind::kMetricPairRatio: eval_pair_ratio(); break;
       case ExpectationKind::kJobHealth: eval_job_health(); break;
-      case ExpectationKind::kOracleBound: eval_oracle_bound(); break;
     }
     if (judged_ == 0) {
       out.status = Status::kSkip;
@@ -184,7 +182,7 @@ class Evaluator {
         }
       }
     }
-    measured_ = span_.render(e_.scheme_a + "/" + join(e_.scheme_b) + " " + e_.metric, "point");
+    measured_ = span_.render(e_.scheme_a + "/" + join(e_.scheme_b) + " " + e_.metric);
   }
 
   void eval_metric_bound() {
@@ -198,7 +196,7 @@ class Evaluator {
         check(value, scheme_point(g), e_.hi);
       }
     }
-    measured_ = span_.render((e_.scheme_a.empty() ? "" : e_.scheme_a + " ") + e_.metric, "point");
+    measured_ = span_.render((e_.scheme_a.empty() ? "" : e_.scheme_a + " ") + e_.metric);
   }
 
   void eval_pair_ratio() {
@@ -221,7 +219,7 @@ class Evaluator {
         check(num / den, where, e_.hi);
       }
     }
-    measured_ = span_.render(e_.metric + "/" + e_.metric_b, "point");
+    measured_ = span_.render(e_.metric + "/" + e_.metric_b);
   }
 
   void eval_job_health() {
@@ -248,29 +246,6 @@ class Evaluator {
                 std::to_string(jobs) + " jobs, " + std::to_string(bad) + " failed";
   }
 
-  void eval_oracle_bound() {
-    for (const SweepDoc* doc : matching_docs()) {
-      for (const SweepJob& job : doc->jobs) {
-        if (!job.ok || !job.oracle) continue;
-        if (!e_.scheme_a.empty()) {
-          const auto it = job.labels.find("scheme");
-          if (it == job.labels.end() || it->second != e_.scheme_a) continue;
-        }
-        double hi = e_.hi;
-        if (e_.harmonic_bound) {
-          const double n = static_cast<double>(job.oracle->queues.size());
-          hi += n > 0.0 ? std::log(n) : 0.0;
-        }
-        check(job.oracle->ratio, "job " + std::to_string(job.id), hi);
-      }
-    }
-    if (judged_ == 0 && skip_reason_.empty()) {
-      skip_reason_ = "no oracle blocks" + (e_.scheme_a.empty() ? "" : " for " + e_.scheme_a);
-    }
-    measured_ =
-        span_.render((e_.scheme_a.empty() ? "" : e_.scheme_a + " ") + "competitive ratio", "job");
-  }
-
   std::string scheme_point(const Group& g) const {
     std::string out = g.scheme;
     if (!g.point.empty()) out += (out.empty() ? "" : " @ ") + g.point;
@@ -294,8 +269,6 @@ class Evaluator {
   std::string failures_;
   mutable std::string skip_reason_;
 };
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Expectation make(std::string id, std::string figure, std::string claim, ExpectationKind kind) {
   Expectation e;
@@ -446,39 +419,6 @@ std::vector<Expectation> default_catalogue() {
     e.scheme_b = {"DT"};
     e.lo = 0.0;
     e.hi = 1.05;
-    cat.push_back(std::move(e));
-  }
-  {
-    Expectation e = make("oracle.ratio_is_upper_bound", "§12",
-                         "the clairvoyant optimum dominates every online policy "
-                         "(competitive ratio >= 1)",
-                         ExpectationKind::kOracleBound);
-    e.sweep = "abl_competitive";
-    e.lo = 1.0 - 1e-9;
-    e.unbounded_above = true;
-    cat.push_back(std::move(e));
-  }
-  {
-    Expectation e = make("oracle.lqd_within_bound", "§12",
-                         "measured LQD ratio stays within Matsakis' adversarial 1.5 bound "
-                         "(+ fluid-relaxation slack)",
-                         ExpectationKind::kOracleBound);
-    e.sweep = "abl_competitive";
-    e.scheme_a = "LQD";
-    e.lo = 1.0 - 1e-9;
-    e.hi = 1.55;
-    cat.push_back(std::move(e));
-  }
-  {
-    Expectation e = make("oracle.harmonic_within_bound", "§12",
-                         "measured Harmonic ratio stays within Addanki et al.'s 2+ln(n) bound "
-                         "(+ slack)",
-                         ExpectationKind::kOracleBound);
-    e.sweep = "abl_competitive";
-    e.scheme_a = "Harmonic";
-    e.lo = 1.0 - 1e-9;
-    e.hi = 2.05;  // + ln(n) from the job's oracle block
-    e.harmonic_bound = true;
     cat.push_back(std::move(e));
   }
   {

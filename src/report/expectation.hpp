@@ -31,10 +31,6 @@ enum class ExpectationKind {
   // here as a failed job, so this is the executable form of "zero audit
   // violations". sweep empty = every loaded document.
   kJobHealth,
-  // Per-job oracle block (DESIGN.md §12): competitive ratio within
-  // [lo, hi]; with harmonic_bound the upper bound is hi + ln(n) where n is
-  // the number of queues in the job's oracle block.
-  kOracleBound,
 };
 
 struct Expectation {
@@ -50,7 +46,6 @@ struct Expectation {
   double lo = 0.0;
   double hi = 0.0;
   bool unbounded_above = false;  // ignore hi
-  bool harmonic_bound = false;   // kOracleBound: hi becomes hi + ln(n_queues)
   double min_load = 0.0;         // skip grid points whose "load" coord is below this
 };
 

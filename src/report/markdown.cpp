@@ -70,60 +70,6 @@ std::string render_markdown_report(const ReportInputs& in) {
   }
   md += "\n";
 
-  // ---- oracle competitive ratios --------------------------------------
-  struct OracleAgg {
-    std::string scheme;
-    std::string point;
-    double sum = 0.0;
-    std::int64_t n = 0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  std::vector<OracleAgg> oracle_rows;
-  for (const SweepDoc& doc : in.sweeps) {
-    for (const SweepJob& job : doc.jobs) {
-      if (!job.ok || !job.oracle) continue;
-      std::string scheme;
-      if (const auto it = job.labels.find("scheme"); it != job.labels.end()) scheme = it->second;
-      std::string point;
-      for (const auto& [axis, value] : job.numbers) {
-        if (axis == "seed") continue;
-        if (!point.empty()) point += ' ';
-        point += axis + "=" + fmt(value);
-      }
-      OracleAgg* agg = nullptr;
-      for (OracleAgg& a : oracle_rows) {
-        if (a.scheme == scheme && a.point == point) {
-          agg = &a;
-          break;
-        }
-      }
-      if (agg == nullptr) {
-        oracle_rows.push_back(OracleAgg{scheme, point, 0.0, 0, job.oracle->ratio,
-                                        job.oracle->ratio});
-        agg = &oracle_rows.back();
-      }
-      agg->sum += job.oracle->ratio;
-      ++agg->n;
-      if (job.oracle->ratio < agg->min) agg->min = job.oracle->ratio;
-      if (job.oracle->ratio > agg->max) agg->max = job.oracle->ratio;
-    }
-  }
-  if (!oracle_rows.empty()) {
-    md += "## Competitive ratios vs. the offline optimum (DESIGN.md §12)\n\n";
-    md += "ratio = clairvoyant-optimal bytes / policy bytes at the bottleneck port; "
-          "seed replicas averaged. Literature bounds: LQD 1.5 (Matsakis), Harmonic "
-          "2+ln n (Addanki et al.).\n\n";
-    md += "| scheme | point | seeds | mean ratio | min..max |\n";
-    md += "|---|---|---|---|---|\n";
-    for (const OracleAgg& a : oracle_rows) {
-      md += "| " + cell(a.scheme) + " | " + cell(a.point.empty() ? "—" : a.point) + " | " +
-            std::to_string(a.n) + " | " + fmt(a.sum / static_cast<double>(a.n)) + " | " +
-            fmt(a.min) + ".." + fmt(a.max) + " |\n";
-    }
-    md += "\n";
-  }
-
   // ---- bench trajectory ------------------------------------------------
   if (!in.history.empty() || in.bench_core != nullptr) {
     md += "## Bench trajectory (DESIGN.md §9, `BENCH_history.jsonl`)\n\n";

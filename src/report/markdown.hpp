@@ -1,8 +1,7 @@
 // Markdown fidelity report (DESIGN.md §13): renders the expectation
-// outcomes, the oracle competitive-ratio table, the bench trajectory and
-// the input inventory into results/REPORT.md. Pure function of its inputs
-// (no clocks, no environment) so golden-file tests can assert the exact
-// bytes.
+// outcomes, the bench trajectory and the input inventory into
+// results/REPORT.md. Pure function of its inputs (no clocks, no
+// environment) so golden-file tests can assert the exact bytes.
 #pragma once
 
 #include <string>

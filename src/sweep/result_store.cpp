@@ -115,50 +115,6 @@ std::string hash_hex(std::uint64_t v) {
   return buf;
 }
 
-void write_oracle(JsonWriter& json, const oracle::Report& r) {
-  json.begin_object();
-  json.key("port");
-  json.value(r.port);
-  json.key("offered_bytes");
-  json.value(r.offered_bytes);
-  json.key("policy_bytes");
-  json.value(r.policy_bytes);
-  json.key("optimal_bytes");
-  json.value(r.optimal_bytes);
-  json.key("ratio");
-  json.value(r.ratio);
-  json.key("arrivals");
-  json.value(r.arrivals);
-  json.key("policy_drops");
-  json.value(r.policy_drops);
-  json.key("policy_evictions");
-  json.value(r.policy_evictions);
-  json.key("opt_pushouts");
-  json.value(r.opt_pushouts);
-  json.key("trace_events");
-  json.value(r.trace_events);
-  json.key("trace_fingerprint");
-  json.value(hash_hex(r.trace_fingerprint));
-  json.key("queues");
-  json.begin_array();
-  for (const oracle::QueueRatio& q : r.queues) {
-    json.begin_object();
-    json.key("queue");
-    json.value(q.queue);
-    json.key("offered_bytes");
-    json.value(q.offered_bytes);
-    json.key("policy_bytes");
-    json.value(q.policy_bytes);
-    json.key("optimal_bytes");
-    json.value(q.optimal_bytes);
-    json.key("ratio");
-    json.value(q.ratio);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-}
-
 }  // namespace
 
 MetricAggregate aggregate_samples(std::vector<double> samples) {
@@ -219,12 +175,12 @@ std::string ResultStore::to_json(const JsonOptions& options,
                                  const std::string& replica_axis) const {
   JsonWriter json;
   json.begin_object();
-  // v6: telemetry gained the optional "control" block (control-plane
-  // updates/failovers and recovery metrics, DESIGN.md §14); v5: jobs gained
-  // the per-job "oracle" competitive-ratio block (DESIGN.md §12); v4:
-  // telemetry gained "scenario_actions" (§11).
+  // v7: jobs lost the per-job "oracle" competitive-ratio block that v5
+  // added; v6: telemetry gained the optional "control" block (control-plane
+  // updates/failovers and recovery metrics, DESIGN.md §14); v4: telemetry
+  // gained "scenario_actions" (§11).
   json.key("schema_version");
-  json.value(6);
+  json.value(7);
   json.key("sweep");
   json.value(name_);
   json.key("mode");
@@ -271,10 +227,6 @@ std::string ResultStore::to_json(const JsonOptions& options,
       if (o.trajectory_hash) {
         json.key("trajectory_hash");
         json.value(hash_hex(*o.trajectory_hash));
-      }
-      if (o.oracle) {
-        json.key("oracle");
-        write_oracle(json, *o.oracle);
       }
     } else {
       json.key("timed_out");

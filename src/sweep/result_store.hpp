@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "oracle/report.hpp"
 #include "sweep/sweep_spec.hpp"
 #include "telemetry/summary.hpp"
 
@@ -22,10 +21,8 @@ namespace dynaq::sweep {
 // What a job function hands back: scalar metrics, plus (optionally) the
 // experiment's TelemetrySummary so the sweep JSON carries per-job drop
 // reasons and queueing-delay percentiles, plus (optionally) the run's
-// trajectory hash (DESIGN.md §10) and its offline-optimal competitive
-// report (DESIGN.md §12; schema_version 5, DESIGN.md §7). Implicitly
-// constructible from a bare metrics map so metrics-only job functions keep
-// working unchanged.
+// trajectory hash (DESIGN.md §10). Implicitly constructible from a bare
+// metrics map so metrics-only job functions keep working unchanged.
 struct JobResult {
   std::map<std::string, double> metrics;
   std::optional<telemetry::TelemetrySummary> telemetry;
@@ -33,9 +30,6 @@ struct JobResult {
   // `metrics` because JSON doubles lose u64 precision, so they are emitted
   // as "0x…" hex strings instead.
   std::optional<std::uint64_t> trajectory_hash;
-  // Competitive ratios vs. the offline optimum, when the job ran with
-  // oracle_competitive enabled (DESIGN.md §12).
-  std::optional<oracle::Report> oracle;
 
   JobResult() = default;
   JobResult(std::map<std::string, double> m) : metrics(std::move(m)) {}
@@ -48,7 +42,6 @@ struct JobOutcome {
   std::map<std::string, double> metrics;  // empty unless ok
   std::optional<telemetry::TelemetrySummary> telemetry;  // when the job returned one
   std::optional<std::uint64_t> trajectory_hash;  // when the job returned one
-  std::optional<oracle::Report> oracle;  // when the job returned one
   bool ok = false;
   bool timed_out = false;
   int attempts = 0;

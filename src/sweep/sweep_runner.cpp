@@ -126,7 +126,6 @@ ResultStore SweepRunner::run(std::string sweep_name, const SweepSpec& spec,
     out.metrics = std::move(state->result.metrics);
     out.telemetry = std::move(state->result.telemetry);
     out.trajectory_hash = state->result.trajectory_hash;
-    out.oracle = std::move(state->result.oracle);
     out.error = std::move(state->error);
     out.cpu_ms = state->cpu_ms;
     out.wall_ms = elapsed_ms(t0);

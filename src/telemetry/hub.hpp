@@ -26,8 +26,7 @@
 namespace dynaq::telemetry {
 
 // One occupancy/threshold observation of every service queue at a port —
-// the unit of the Fig. 1/4 time series (stats::QueueLengthSampler is now a
-// thin adapter over this).
+// the unit of the Fig. 1/4 time series.
 struct QueueSample {
   Time when = 0;
   std::vector<std::int64_t> queue_bytes;  // occupancy per service queue
@@ -131,10 +130,6 @@ class Hub {
               std::vector<std::int64_t> thresholds);
   const std::vector<QueueSample>& queue_samples() const { return series_.samples(); }
 
-  // ---- metrics registry ---------------------------------------------------
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   // ---- export -------------------------------------------------------------
   TelemetrySummary summary() const;
 
@@ -168,7 +163,6 @@ class Hub {
   std::size_t max_delay_queues_;
   std::vector<LogHistogram> delay_hist_;  // indexed by service queue
   QueueSeries series_;
-  MetricsRegistry metrics_;
 };
 
 // JSONL export of an event sequence (one JSON object per line, ports

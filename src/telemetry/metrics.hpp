@@ -1,35 +1,12 @@
-// Metrics registry: named counters, gauges and HDR-style log-bucketed
-// histograms. The record path is allocation-free (fixed-size bucket
-// arrays, pre-resolved references); registry lookups happen once at
-// attach/registration time, never per packet.
+// HDR-style log-bucketed histogram: the hub's per-queue queueing-delay
+// instrument (DESIGN.md §8).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
 
 namespace dynaq::telemetry {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(std::int64_t v) { value_ = v; }
-  std::int64_t value() const { return value_; }
-
- private:
-  std::int64_t value_ = 0;
-};
 
 // Log-bucketed histogram over non-negative int64 values (queueing delays in
 // picoseconds, byte counts). Values below 2^kSubBits land in exact
@@ -89,35 +66,6 @@ class LogHistogram {
   std::uint64_t count_ = 0;
   std::int64_t max_ = 0;
   std::array<std::uint64_t, kNumBuckets> buckets_{};
-};
-
-// Named metric instruments. Accessors create on first use and return stable
-// references (node-based map): resolve once, record through the reference.
-// Iteration order is the map's lexicographic key order, keeping any export
-// deterministic.
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name) { return get(counters_, name); }
-  Gauge& gauge(const std::string& name) { return get(gauges_, name); }
-  LogHistogram& histogram(const std::string& name) { return get(histograms_, name); }
-
-  const std::map<std::string, std::unique_ptr<Counter>>& counters() const { return counters_; }
-  const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const { return gauges_; }
-  const std::map<std::string, std::unique_ptr<LogHistogram>>& histograms() const {
-    return histograms_;
-  }
-
- private:
-  template <typename T>
-  static T& get(std::map<std::string, std::unique_ptr<T>>& m, const std::string& name) {
-    auto& slot = m[name];
-    if (!slot) slot = std::make_unique<T>();
-    return *slot;
-  }
-
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
 };
 
 }  // namespace dynaq::telemetry

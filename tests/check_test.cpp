@@ -303,7 +303,8 @@ TEST(AuditorProperty, AllSchemesRunCleanUnderAudit) {
        {core::SchemeKind::kDynaQ, core::SchemeKind::kDynaQEvict, core::SchemeKind::kBestEffort,
         core::SchemeKind::kPql, core::SchemeKind::kDynamicThreshold, core::SchemeKind::kDynaQEcn,
         core::SchemeKind::kTcn, core::SchemeKind::kPmsb, core::SchemeKind::kPerQueueEcn,
-        core::SchemeKind::kMqEcn}) {
+        core::SchemeKind::kMqEcn, core::SchemeKind::kLongestQueueDrop,
+        core::SchemeKind::kHarmonic}) {
     harness::StaticExperimentConfig cfg;
     cfg.star.num_hosts = 3;
     cfg.star.queue_weights = {1, 2};

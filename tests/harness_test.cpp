@@ -85,6 +85,23 @@ TEST(Cli, NoUnknownFlagsWhenAllQueried) {
   EXPECT_FALSE(cli.complain_unknown(/*strict=*/true));
 }
 
+// A numeric value that does not parse completely must not run as its
+// parsed prefix or as 0: the binary exits with status 2 and names the flag.
+TEST(CliDeathTest, MalformedNumbersExitNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--flows=4x"}).integer("flows", 1), usage_error,
+              "--flows: '4x' is not an integer");
+  EXPECT_EXIT(make_cli({"--flows"}).integer("flows", 1), usage_error,
+              "--flows: 'true' is not an integer");
+  EXPECT_EXIT(make_cli({"--seed=1.5"}).integer("seed", 1), usage_error, "--seed");
+  EXPECT_EXIT(make_cli({"--load=abc"}).real("load", 0.5), usage_error,
+              "--load: 'abc' is not a finite number");
+  EXPECT_EXIT(make_cli({"--load=nan"}).real("load", 0.5), usage_error, "--load");
+  EXPECT_EXIT(make_cli({"--seeds=1,abc"}).reals("seeds", {}), usage_error,
+              "--seeds: 'abc' is not a finite number");
+  EXPECT_EXIT(make_cli({"--seeds=1,,2"}).reals("seeds", {}), usage_error, "--seeds: ''");
+}
+
 // -------------------------------------------------------------- Table --
 
 TEST(Table, AlignsColumns) {

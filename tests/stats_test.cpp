@@ -1,5 +1,5 @@
-// Unit tests for the stats module: fairness, percentiles, FCT summaries,
-// throughput meters and queue-length sampling.
+// Unit tests for the stats module: fairness, percentiles, FCT summaries
+// and throughput meters.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -7,7 +7,6 @@
 #include "stats/fairness.hpp"
 #include "stats/fct_recorder.hpp"
 #include "stats/percentile.hpp"
-#include "stats/queue_sampler.hpp"
 #include "stats/throughput_meter.hpp"
 
 namespace dynaq {
@@ -180,24 +179,6 @@ TEST(ThroughputMeter, MeanOverRange) {
 TEST(ThroughputMeter, OutOfRangeWindowIsZero) {
   stats::ThroughputMeter m(1, milliseconds(std::int64_t{100}));
   EXPECT_DOUBLE_EQ(m.gbps(5, 0), 0.0);
-}
-
-// -------------------------------------------------- QueueLengthSampler --
-
-TEST(QueueLengthSampler, RespectsCapacityAndSkip) {
-  stats::QueueLengthSampler s(3, 2);
-  for (int i = 0; i < 10; ++i) s.record(nanoseconds(i), {i}, {});
-  ASSERT_EQ(s.samples().size(), 3u);
-  EXPECT_EQ(s.samples()[0].queue_bytes[0], 2);  // first two skipped
-  EXPECT_EQ(s.samples()[2].queue_bytes[0], 4);
-  EXPECT_TRUE(s.full());
-}
-
-TEST(QueueLengthSampler, KeepsThresholds) {
-  stats::QueueLengthSampler s(1, 0);
-  s.record(0, {10, 20}, {100, 200});
-  ASSERT_EQ(s.samples().size(), 1u);
-  EXPECT_EQ(s.samples()[0].thresholds[1], 200);
 }
 
 }  // namespace

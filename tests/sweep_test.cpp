@@ -138,7 +138,7 @@ TEST(SweepRunner, TrajectoryHashesRideJobResultsForAnyWorkerCount) {
   const sweep::JsonOptions no_perf{.include_perf = false};
   const std::string json = store1.to_json(no_perf);
   EXPECT_EQ(json, store4.to_json(no_perf));
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x0000000000001000\""), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x000000000000100b\""), std::string::npos);
 }

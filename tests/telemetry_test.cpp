@@ -176,8 +176,6 @@ TEST(DropTaxonomy, InjectedFromFaultInjectionQueue) {
   const auto s = hub.summary();
   EXPECT_EQ(s.drops(DropReason::kInjected), 1u);
   EXPECT_EQ(loss.injected_losses(), 1u);
-  // Injected losses are also counted in the metrics registry.
-  EXPECT_EQ(hub.metrics().counter("drops_injected").value(), 1u);
 }
 
 // ------------------------------------------------- exchange events -----
@@ -362,6 +360,22 @@ TEST(Telemetry, SweepJsonByteIdenticalAcrossWorkerCounts) {
 }
 
 // ------------------------------------------------------ time series ----
+
+TEST(QueueSeries, RespectsCapacityAndSkip) {
+  telemetry::QueueSeries series(3, 2);
+  for (int i = 0; i < 10; ++i) series.record(nanoseconds(i), {i}, {});
+  ASSERT_EQ(series.samples().size(), 3u);
+  EXPECT_EQ(series.samples()[0].queue_bytes[0], 2);  // first two skipped
+  EXPECT_EQ(series.samples()[2].queue_bytes[0], 4);
+  EXPECT_TRUE(series.full());
+}
+
+TEST(QueueSeries, KeepsThresholds) {
+  telemetry::QueueSeries series(1, 0);
+  series.record(0, {10, 20}, {100, 200});
+  ASSERT_EQ(series.samples().size(), 1u);
+  EXPECT_EQ(series.samples()[0].thresholds[1], 200);
+}
 
 TEST(QueueSeries, MinGapTurnsEventCadenceIntoTimeCadence) {
   telemetry::QueueSeries series(10, 0, 100);

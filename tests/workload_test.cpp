@@ -4,12 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "sim/random.hpp"
 #include "workload/flow_generator.hpp"
 #include "workload/flow_size_distribution.hpp"
 
 namespace dynaq {
+namespace workload {
+
+// gtest prints a pointer parameter as its address, which changes on every
+// build and would end up in the BuiltinWorkloads ctest names. Print the
+// workload's name instead (found by ADL).
+void PrintTo(const FlowSizeDistribution* d, std::ostream* os) { *os << d->name(); }
+
+}  // namespace workload
 namespace {
 
 using workload::CdfPoint;

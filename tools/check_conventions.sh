@@ -33,17 +33,12 @@
 #      set_loss_rate, pause/resume — DESIGN.md §11): src/scenario must never
 #      reach into buffer state (MqState, ServiceQueue, packet deques), so
 #      every mutation stays inside the audited component APIs.
-#  12. The oracle consumes telemetry taps only (DESIGN.md §12): src/oracle
-#      reconstructs arrivals from the hub's event bus and wire records, so
-#      it must not include net/core/transport/topo headers nor name queue
-#      internals (MqState, ServiceQueue, MultiQueueQdisc) — the offline
-#      bound stays decoupled from the online implementation it judges.
 #  13. The report subsystem reads serialized artifacts only (DESIGN.md
 #      §13): src/report evaluates sweep results JSON, BENCH_core.json and
 #      BENCH_history.jsonl, so it must not include any model/runtime header
 #      (sim, net, core, transport, topo, harness, telemetry, sweep,
-#      scenario, oracle, check, stats, workload) — expectations judge runs
-#      from their artifacts, never from simulator internals.
+#      scenario, check, stats, workload) — expectations judge runs from
+#      their artifacts, never from simulator internals.
 #  14. Control-plane mutations go through the ctrlplane shim (DESIGN.md
 #      §14): outside src/core (the policy that owns it) and src/ctrlplane
 #      (the shim), no src/ code may drive core::DynaQController's mutating
@@ -165,24 +160,8 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
-# -- 12. oracle consumes telemetry taps only (DESIGN.md §12) ------------------
-hits=$(grep -rnE '#include "(net|core|transport|topo)/' src/oracle/ \
-  | grep -vE '^\S+:\s*//' || true)
-if [[ -n "$hits" ]]; then
-  complain "oracle-via-telemetry" \
-    "src/oracle must reconstruct state from telemetry taps, not include online model headers:" \
-    "$hits"
-fi
-hits=$(grep -rnE '\bMqState\b|\bServiceQueue\b|\bMultiQueueQdisc\b' src/oracle/ \
-  | grep -vE '^\S+:\s*//' || true)
-if [[ -n "$hits" ]]; then
-  complain "oracle-via-telemetry" \
-    "src/oracle must not touch queue internals (the offline bound judges the online policy from outside):" \
-    "$hits"
-fi
-
 # -- 13. report reads serialized artifacts only (DESIGN.md §13) ---------------
-hits=$(grep -rnE '#include "(sim|net|core|transport|topo|harness|telemetry|sweep|scenario|oracle|check|stats|workload)/' \
+hits=$(grep -rnE '#include "(sim|net|core|transport|topo|harness|telemetry|sweep|scenario|check|stats|workload)/' \
   src/report/ tools/report_gen.cpp | grep -vE '^\S+:\s*//' || true)
 if [[ -n "$hits" ]]; then
   complain "report-via-artifacts" \

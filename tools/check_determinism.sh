@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Trajectory-hash differential gate (DESIGN.md §10). Runs the Fig. 8 smoke
 # sweep through bench/fig08_fct_non_ecn and asserts, via the per-job
-# trajectory_hash fields in the sweep JSON (schema_version 4):
+# trajectory_hash fields in the sweep JSON (schema_version 3 and later):
 #
 #   1. repeat:   the same command twice yields identical hash sets;
 #   2. jobs:     --jobs 1 and --jobs 4 yield identical hash sets (worker
@@ -12,11 +12,9 @@
 #                rebalances, DESIGN.md §11) satisfies the same properties —
 #                scenario actions are part of the trajectory, not a source
 #                of nondeterminism.
-#   5. oracle:   an oracle-enabled run (bench/abl_competitive, DESIGN.md
-#                §12) satisfies the same properties on trajectory_hash AND
-#                on the emitted oracle blocks (trace fingerprints, solver
-#                outputs): recording + offline replay is a pure function of
-#                the seed, for any worker count.
+#   5. baselines: a bench/abl_competitive run over DynaQ and the LQD
+#                push-out baseline (DESIGN.md §12) satisfies the same
+#                properties — eviction is part of the trajectory too.
 #   6. ctrlplane: a degraded-control-plane run (bench/rob_controller with
 #                the controller_crash timeline, DESIGN.md §14) satisfies the
 #                same properties — asynchronous threshold updates (period >
@@ -97,42 +95,28 @@ if [[ -n "$(comm -12 <(printf '%s\n' "$sa") <(printf '%s\n' "$ss"))" ]]; then
   fail=1
 fi
 
-# -- oracle-enabled runs (DESIGN.md §12) -------------------------------------
+# -- shared-buffer baselines (DESIGN.md §12) ----------------------------------
 obin="$build/bench/abl_competitive"
 [[ -x "$obin" ]] || { echo "check_determinism: $obin not built" >&2; exit 1; }
 
-run_oracle() {  # run_oracle <outdir> <grep pattern> <extra flags...>
-  local out="$work/$1" pattern="$2"
-  shift 2
+run_abl() {  # run_abl <outdir> <extra flags...>
+  local out="$work/$1"
+  shift
   mkdir -p "$out"
   "$obin" --flows=120 --schemes=DynaQ,LQD --strict \
     --json "$out" "$@" > /dev/null
-  grep -o "$pattern" "$out/abl_competitive.json" | sort
+  grep -o '"trajectory_hash":"0x[0-9a-f]*"' "$out/abl_competitive.json" | sort
 }
 
-hash_pat='"trajectory_hash":"0x[0-9a-f]*"'
-# The solver's outputs ride the differential too: a nondeterministic replay
-# would change optimal_bytes/fingerprint even with identical trajectories.
-oracle_pat='"trace_fingerprint":"0x[0-9a-f]*"\|"optimal_bytes":[0-9.e+-]*'
-
-oa=$(run_oracle orc_repeat_a "$hash_pat" --seeds=1,2 --jobs=1)
-ob=$(run_oracle orc_repeat_b "$hash_pat" --seeds=1,2 --jobs=1)
-expect_equal "oracle: same seed, repeated run" "$oa" "$ob"
-ova=$(grep -o "$oracle_pat" "$work/orc_repeat_a/abl_competitive.json" | sort)
-ovb=$(grep -o "$oracle_pat" "$work/orc_repeat_b/abl_competitive.json" | sort)
-expect_equal "oracle: repeated run solver outputs" "$ova" "$ovb"
-oj=$(run_oracle orc_jobs_4 "$hash_pat" --seeds=1,2 --jobs=4)
-expect_equal "oracle: --jobs 1 vs --jobs 4" "$oa" "$oj"
-ovj=$(grep -o "$oracle_pat" "$work/orc_jobs_4/abl_competitive.json" | sort)
-expect_equal "oracle: --jobs 1 vs 4 solver outputs" "$ova" "$ovj"
-os=$(run_oracle orc_seed_b "$hash_pat" --seeds=3,4 --jobs=2)
+oa=$(run_abl abl_repeat_a --seeds=1,2 --jobs=1)
+ob=$(run_abl abl_repeat_b --seeds=1,2 --jobs=1)
+expect_equal "baselines: same seed, repeated run" "$oa" "$ob"
+oj=$(run_abl abl_jobs_4 --seeds=1,2 --jobs=4)
+expect_equal "baselines: --jobs 1 vs --jobs 4" "$oa" "$oj"
+os=$(run_abl abl_seed_b --seeds=3,4 --jobs=2)
 if [[ -n "$(comm -12 <(printf '%s\n' "$oa") <(printf '%s\n' "$os"))" ]]; then
-  echo "check_determinism: FAILED (oracle: different seeds produced a shared hash):"
+  echo "check_determinism: FAILED (baselines: different seeds produced a shared hash):"
   comm -12 <(printf '%s\n' "$oa") <(printf '%s\n' "$os") | sed 's/^/  /'
-  fail=1
-fi
-if [[ "$ova" != *trace_fingerprint* ]]; then
-  echo "check_determinism: FAILED (no oracle blocks in abl_competitive JSON)"
   fail=1
 fi
 
@@ -170,6 +154,6 @@ if ! grep -q '"failovers":[1-9]' "$work/ctrl_repeat_a/rob_controller.json"; then
 fi
 
 if [[ $fail -eq 0 ]]; then
-  echo "check_determinism: OK (repeat, --jobs 1 vs 4, seed sensitivity, scenario runs, oracle runs, ctrlplane runs)"
+  echo "check_determinism: OK (repeat, --jobs 1 vs 4, seed sensitivity, scenario runs, baseline runs, ctrlplane runs)"
 fi
 exit $fail

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   sweep.loads = cli.reals("loads", full ? std::vector<double>{0.5, 0.7, 0.9}
                                         : std::vector<double>{0.7});
   sweep.flows = static_cast<std::size_t>(cli.integer("flows", full ? 4'000 : 400));
-  sweep.seeds = cli.reals("seeds", full ? std::vector<double>{1, 2, 3, 4, 5}
-                                        : std::vector<double>{1, 2, 3});
+  sweep.seeds = cli.naturals("seeds", full ? std::vector<double>{1, 2, 3, 4, 5}
+                                           : std::vector<double>{1, 2, 3});
 
   std::puts("Ablation — DynaQ vs DT, LQD, Harmonic and BestEffort, SPQ(1)/DRR(4), web search");
   std::printf("(%zu flows per run, PIAS demotion at 100KB, TCP/NewReno)\n\n", sweep.flows);

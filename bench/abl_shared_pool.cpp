@@ -6,12 +6,14 @@
 // one shared SRAM pool under a chip-wide Dynamic Threshold, against DynaQ
 // over a static per-port split of the same total memory. Port A is hammered
 // by 16 flows; port B carries 2 flows and just wants its BDP.
+#include <algorithm>
 #include <memory>
 
 #include "bench/common.hpp"
 #include "harness/cli.hpp"
 #include "net/shared_memory.hpp"
 #include "stats/throughput_meter.hpp"
+#include "telemetry/hub.hpp"
 #include "transport/host_agent.hpp"
 
 using namespace dynaq;
@@ -72,18 +74,25 @@ Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a, std::uint64_
   start(1, 4, 0);
   start(1, 5, 1);
 
+  // Both ports report to one hub: wire taps meter their departures (a
+  // packet starts serializing as its queue releases it), and port B's
+  // enqueue events track its peak occupancy.
+  telemetry::Hub hub(sim);
+  topo.fabric().port(0).attach_telemetry(hub, "sw.p0");
+  topo.fabric().port(1).attach_telemetry(hub, "sw.p1");
   stats::ThroughputMeter meter_a(8, milliseconds(std::int64_t{500}));
   stats::ThroughputMeter meter_b(8, milliseconds(std::int64_t{500}));
-  topo.port_qdisc(0).on_dequeue_hook = [&](int q, const net::Packet& p, Time now) {
-    if (!p.is_ack()) meter_a.record(q, p.size, now);
-  };
-  topo.port_qdisc(1).on_dequeue_hook = [&](int q, const net::Packet& p, Time now) {
-    if (!p.is_ack()) meter_b.record(q, p.size, now);
-  };
+  hub.add_wire_listener([&](const telemetry::WireRecord& w) {
+    if (!w.transmit || w.is_ack) return;
+    (w.port == 0 ? meter_a : meter_b).record(std::min<int>(w.queue, 7), w.size, w.when);
+  });
   Outcome o;
-  topo.port_qdisc(1).on_op_hook = [&](const net::MqState& state, Time) {
-    o.port_b_peak_occupancy = std::max(o.port_b_peak_occupancy, state.port_bytes);
-  };
+  const net::MultiQueueQdisc& port_b = topo.port_qdisc(1);
+  hub.subscribe([&](const telemetry::Event& e) {
+    if (e.port == 1 && e.kind == telemetry::EventKind::kEnqueue) {
+      o.port_b_peak_occupancy = std::max(o.port_b_peak_occupancy, port_b.state().port_bytes);
+    }
+  });
 
   sim.run_until(seconds(std::int64_t{5}));
   (void)seed;

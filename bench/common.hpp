@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,21 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
   return SweepRun{std::move(store), exit_code};
 }
 
+// A sweep job's record of one harness run: its metrics, the run's telemetry
+// summary (moved out of `r`) and its trajectory hash.
+inline sweep::JobResult job_record(std::map<std::string, double> metrics,
+                                   harness::RunResult& r) {
+  sweep::JobResult job{std::move(metrics), std::move(r.telemetry)};
+  job.trajectory_hash = r.trajectory_hash;
+  return job;
+}
+
+// Seed-mean of one metric in an aggregated sweep row (0 when absent).
+inline double row_mean(const sweep::AggregateRow& row, const char* name) {
+  const auto it = row.metrics.find(name);
+  return it == row.metrics.end() ? 0.0 : it->second.mean;
+}
+
 // Parses --schemes=DynaQ,PQL,... into SchemeKinds, defaulting to `fallback`.
 inline std::vector<core::SchemeKind> schemes_from_cli(const harness::Cli& cli,
                                                       std::vector<core::SchemeKind> fallback) {
@@ -171,16 +187,24 @@ inline std::vector<core::SchemeKind> schemes_from_cli(const harness::Cli& cli,
   return kinds;
 }
 
-// The scheme/load/seed grid every FCT-style figure sweeps.
-inline sweep::SweepSpec scheme_load_seed_spec(const std::vector<core::SchemeKind>& schemes,
-                                              const std::vector<double>& loads,
-                                              const std::vector<double>& seeds) {
+// The scheme/seed grid of the static-flow sweeps (Fig. 12, rob_*).
+inline sweep::SweepSpec scheme_seed_spec(const std::vector<core::SchemeKind>& schemes,
+                                         const std::vector<double>& seeds) {
   std::vector<std::string> names;
   names.reserve(schemes.size());
   for (const auto kind : schemes) names.emplace_back(core::scheme_name(kind));
   sweep::SweepSpec spec;
   spec.axes = {sweep::Axis::labels("scheme", std::move(names)),
-               sweep::Axis::numeric("load", loads), sweep::Axis::numeric("seed", seeds)};
+               sweep::Axis::numeric("seed", seeds)};
+  return spec;
+}
+
+// The scheme/load/seed grid every FCT-style figure sweeps.
+inline sweep::SweepSpec scheme_load_seed_spec(const std::vector<core::SchemeKind>& schemes,
+                                              const std::vector<double>& loads,
+                                              const std::vector<double>& seeds) {
+  sweep::SweepSpec spec = scheme_seed_spec(schemes, seeds);
+  spec.axes.insert(spec.axes.begin() + 1, sweep::Axis::numeric("load", loads));
   return spec;
 }
 

@@ -60,10 +60,7 @@ inline FctResults fct_results_from_store(const sweep::ResultStore& store) {
   for (const auto& row : store.aggregate("seed")) {
     if (row.replicas == 0) continue;  // every replica failed; printers show n/a
     stats::FctSummary s;
-    const auto metric = [&](const char* name) {
-      const auto it = row.metrics.find(name);
-      return it == row.metrics.end() ? 0.0 : it->second.mean;
-    };
+    const auto metric = [&row](const char* name) { return row_mean(row, name); };
     s.avg_overall_ms = metric("avg_overall_ms");
     s.avg_small_ms = metric("avg_small_ms");
     s.avg_medium_ms = metric("avg_medium_ms");
@@ -101,9 +98,7 @@ inline sweep::JobResult run_fct_job(const FctSweepConfig& sweep,
   cfg.first_service_queue = 1;
   cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
   auto r = harness::run_dynamic_star_experiment(cfg);
-  sweep::JobResult job{fct_metrics(r), std::move(r.telemetry)};
-  job.trajectory_hash = r.trajectory_hash;
-  return job;
+  return job_record(fct_metrics(r), r);
 }
 
 // Runs the whole grid through the sweep engine (--jobs/--strict/--json...,

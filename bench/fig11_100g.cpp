@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i <= 8; ++i) cfg.senders_per_queue.push_back(2 * i);
     cfg.mss = net::kJumboMss;
     cfg.seed = seed;
-    const auto rows = bench::run_high_speed(std::move(cfg));
+    const auto rows = bench::run_high_speed(std::move(cfg)).rows;
     std::printf("--- %s ---\n", std::string(core::scheme_name(kind)).c_str());
     if (series) bench::print_high_speed(rows);
     std::vector<std::vector<double>> csv_rows;

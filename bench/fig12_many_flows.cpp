@@ -9,7 +9,7 @@ using namespace dynaq;
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto seeds = cli.reals("seeds", {static_cast<double>(cli.integer("seed", 1))});
+  const auto seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
   const bool series = cli.flag("series");
   const auto csv_dir = cli.text("csv", "");
   // Paper scale by default (16..2048 senders, 4080 flows) — the run is
@@ -21,13 +21,7 @@ int main(int argc, char** argv) {
   std::puts("Figure 12 — 100Gbps links with many flows (queue i has 2^(3+i) senders)");
   std::printf("(queue sender counts %d..%d)\n\n", 2 << shift, (2 << shift) << 7);
 
-  sweep::SweepSpec spec;
-  {
-    std::vector<std::string> names;
-    for (const auto kind : kinds) names.emplace_back(core::scheme_name(kind));
-    spec.axes = {sweep::Axis::labels("scheme", std::move(names)),
-                 sweep::Axis::numeric("seed", seeds)};
-  }
+  const sweep::SweepSpec spec = bench::scheme_seed_spec(kinds, seeds);
   std::vector<std::vector<bench::HighSpeedRow>> all_rows(spec.num_jobs());
 
   const auto run = bench::run_sweep(
@@ -38,10 +32,11 @@ int main(int argc, char** argv) {
         for (int i = 1; i <= 8; ++i) cfg.senders_per_queue.push_back(1 << (shift + i));
         cfg.mss = net::kJumboMss;
         cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
-        auto rows = bench::run_high_speed(std::move(cfg));
-        auto metrics = bench::high_speed_metrics(rows);
-        all_rows[point.job_id] = std::move(rows);  // private slot: no locking
-        return metrics;
+        auto hs = bench::run_high_speed(std::move(cfg));
+        sweep::JobResult job{bench::high_speed_metrics(hs.rows)};
+        job.trajectory_hash = hs.trajectory_hash;
+        all_rows[point.job_id] = std::move(hs.rows);  // private slot: no locking
+        return job;
       });
 
   for (const auto& o : run.store.outcomes()) {

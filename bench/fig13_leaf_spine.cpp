@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                                              : std::vector<double>{0.3, 0.5, 0.7});
   const auto flows = static_cast<std::size_t>(cli.integer("flows", full ? 10'000 : 1'200));
   const int leaves = static_cast<int>(cli.integer("leaves", full ? 12 : 6));
-  const auto seeds = cli.reals("seeds", {static_cast<double>(cli.integer("seed", 1))});
+  const auto seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
   const auto kinds = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kBestEffort, core::SchemeKind::kPql});
 
@@ -39,7 +39,10 @@ int main(int argc, char** argv) {
         cfg.load = point.number("load");
         cfg.num_services = 7;
         cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
-        return bench::fct_metrics(harness::run_dynamic_leaf_spine_experiment(cfg));
+        const auto r = harness::run_dynamic_leaf_spine_experiment(cfg);
+        sweep::JobResult job{bench::fct_metrics(r)};
+        job.trajectory_hash = r.trajectory_hash;
+        return job;
       });
   for (const auto& o : run.store.outcomes()) {
     const auto it = o.metrics.find("incomplete");

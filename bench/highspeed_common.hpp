@@ -24,7 +24,12 @@ struct HighSpeedRow {
   double aggregate_gbps;
 };
 
-inline std::vector<HighSpeedRow> run_high_speed(HighSpeedConfig cfg) {
+struct HighSpeedRun {
+  std::vector<HighSpeedRow> rows;  // one per 10 ms meter window
+  std::uint64_t trajectory_hash = 0;
+};
+
+inline HighSpeedRun run_high_speed(HighSpeedConfig cfg) {
   const int num_queues = 8;
   harness::StaticExperimentConfig exp;
   exp.star = std::move(cfg.star);
@@ -53,17 +58,18 @@ inline std::vector<HighSpeedRow> run_high_speed(HighSpeedConfig cfg) {
   exp.seed = cfg.seed;
 
   const auto r = harness::run_static_experiment(exp);
-  std::vector<HighSpeedRow> rows;
+  HighSpeedRun run{{}, r.trajectory_hash};
   for (std::size_t w = 0; w < r.meter.num_windows(); ++w) {
     const Time window_start = static_cast<Time>(w) * exp.meter_window;
     std::vector<bool> active(num_queues);
     for (int q = 0; q < num_queues; ++q) {
       active[static_cast<std::size_t>(q)] = window_start < stop_at[static_cast<std::size_t>(q)];
     }
-    rows.push_back(HighSpeedRow{to_milliseconds(window_start) + 5.0,
-                                active_jain(r.meter, w, active), r.meter.aggregate_gbps(w)});
+    run.rows.push_back(HighSpeedRow{to_milliseconds(window_start) + 5.0,
+                                    active_jain(r.meter, w, active),
+                                    r.meter.aggregate_gbps(w)});
   }
-  return rows;
+  return run;
 }
 
 inline void print_high_speed(const std::vector<HighSpeedRow>& rows) {
@@ -74,8 +80,8 @@ inline void print_high_speed(const std::vector<HighSpeedRow>& rows) {
   t.print();
 }
 
-// Scalar summary of one high-speed run, as stored per sweep job (same
-// quantities print_high_speed_summary reports).
+// Scalar summary of one high-speed run, as stored per sweep job and printed
+// by print_high_speed_summary.
 inline std::map<std::string, double> high_speed_metrics(const std::vector<HighSpeedRow>& rows) {
   double min_jain = 1.0;
   double sum_jain = 0.0;
@@ -99,25 +105,12 @@ inline std::map<std::string, double> high_speed_metrics(const std::vector<HighSp
 }
 
 inline void print_high_speed_summary(const std::vector<HighSpeedRow>& rows, double line_gbps) {
-  double min_jain = 1.0;
-  double sum_jain = 0.0;
-  double sum_agg = 0.0;
-  double last_phase_agg = 0.0;
-  std::size_t last_n = 0;
-  for (const auto& row : rows) {
-    min_jain = std::min(min_jain, row.jain);
-    sum_jain += row.jain;
-    sum_agg += row.aggregate_gbps;
-    if (row.time_ms > 520.0) {  // only paper-queue 1 active
-      last_phase_agg += row.aggregate_gbps;
-      ++last_n;
-    }
-  }
-  std::printf("mean jain=%.3f min jain=%.3f mean aggregate=%.2f/%.0f Gbps",
-              sum_jain / static_cast<double>(rows.size()), min_jain,
-              sum_agg / static_cast<double>(rows.size()), line_gbps);
-  if (last_n > 0) {
-    std::printf("  last-phase aggregate=%.2f Gbps", last_phase_agg / static_cast<double>(last_n));
+  const auto m = high_speed_metrics(rows);
+  std::printf("mean jain=%.3f min jain=%.3f mean aggregate=%.2f/%.0f Gbps", m.at("mean_jain"),
+              m.at("min_jain"), m.at("mean_aggregate_gbps"), line_gbps);
+  // The last phase (only paper-queue 1 active) is the rows past 520 ms.
+  if (!rows.empty() && rows.back().time_ms > 520.0) {
+    std::printf("  last-phase aggregate=%.2f Gbps", m.at("last_phase_gbps"));
   }
   std::puts("");
 }

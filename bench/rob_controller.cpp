@@ -8,18 +8,11 @@
 // break, so its jobs carry no scenario. Reported per scheme: pre-fault /
 // fault-window / recovered throughput, fault-window retention, and (DynaQ
 // only) failover counts plus recovery time vs. the watchdog+re-sync budget.
-#include <algorithm>
-#include <stdexcept>
-
-#include "bench/common.hpp"
-#include "harness/scenario_cli.hpp"
-#include "scenario/scenario.hpp"
+#include "bench/rob_common.hpp"
 
 using namespace dynaq;
 
 namespace {
-
-constexpr int kNumQueues = 4;
 
 ctrlplane::ControlPlaneConfig control_config(std::uint64_t seed) {
   ctrlplane::ControlPlaneConfig cp;
@@ -31,29 +24,6 @@ ctrlplane::ControlPlaneConfig control_config(std::uint64_t seed) {
   return cp;
 }
 
-harness::StaticExperimentConfig experiment_config(core::SchemeKind kind, Time duration,
-                                                  std::uint64_t seed,
-                                                  const scenario::Scenario* scn) {
-  harness::StaticExperimentConfig cfg;
-  cfg.star = bench::testbed_star(kind, /*num_hosts=*/1 + 2 * kNumQueues);
-  for (int q = 0; q < kNumQueues; ++q) {
-    cfg.groups.push_back({.queue = q,
-                          .num_flows = 2,
-                          .first_src_host = 1 + 2 * q,
-                          .num_src_hosts = 2,
-                          .start = 0,
-                          .stop = 0,
-                          .cc = transport::CcKind::kNewReno});
-  }
-  cfg.duration = duration;
-  // 16 windows per run so the eighth-of-the-run scenario phases resolve.
-  cfg.meter_window = std::max(duration / 16, milliseconds(std::int64_t{10}));
-  cfg.seed = seed;
-  cfg.control_plane = control_config(seed);
-  cfg.scenario = scn;
-  return cfg;
-}
-
 sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
                          const scenario::Scenario& scn) {
   const auto kind = core::parse_scheme(point.label("scheme"));
@@ -63,25 +33,18 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
   // fault-free baseline.
   const scenario::Scenario* scenario =
       kind == core::SchemeKind::kDynaQ ? &scn : nullptr;
-  auto r = harness::run_static_experiment(experiment_config(kind, duration, seed, scenario));
+  harness::StaticExperimentConfig cfg = bench::rob_config(kind, duration, seed, scenario);
+  cfg.control_plane = control_config(seed);
+  auto r = harness::run_static_experiment(cfg);
 
   // The catalogue's controller timelines put the fault in [3/8, 5/8) of the
   // run (onset at 3/8, duration/4 long); slice the meter windows accordingly.
-  const std::size_t n = r.meter.num_windows();
-  const auto slice_mean = [&r, n](double lo, double hi) {
-    const auto a = static_cast<std::size_t>(lo * static_cast<double>(n));
-    const auto b = std::max(a + 1, static_cast<std::size_t>(hi * static_cast<double>(n)));
-    double sum = 0.0;
-    for (std::size_t w = a; w < b && w < n; ++w) sum += r.meter.aggregate_gbps(w);
-    return sum / static_cast<double>(std::min(b, n) - a);
-  };
-
   std::map<std::string, double> metrics;
-  const double pre = slice_mean(0.125, 0.375);        // steady state before the fault
-  const double fault = slice_mean(0.375, 0.625);      // controller down / degraded
+  const double pre = bench::slice_mean(r.meter, 0.125, 0.375);    // before the fault
+  const double fault = bench::slice_mean(r.meter, 0.375, 0.625);  // controller down / degraded
   metrics["pre_gbps"] = pre;
   metrics["fault_gbps"] = fault;
-  metrics["recovered_gbps"] = slice_mean(0.75, 1.0);  // after restore
+  metrics["recovered_gbps"] = bench::slice_mean(r.meter, 0.75, 1.0);  // after restore
   // One retention estimator for every scheme so the §14 ratio expectation
   // compares like with like; the event-derived estimate rides the telemetry
   // control block in the JSON.
@@ -99,9 +62,7 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
   metrics["timeouts"] = static_cast<double>(r.sender_totals.timeouts);
   metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
   metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
-  sweep::JobResult job{std::move(metrics), std::move(r.telemetry)};
-  job.trajectory_hash = r.trajectory_hash;
-  return job;
+  return bench::job_record(std::move(metrics), r);
 }
 
 }  // namespace
@@ -111,7 +72,7 @@ int main(int argc, char** argv) {
   if (harness::list_scenarios_requested(cli)) return 0;
   const bool full = cli.flag("full");
   const Time duration = seconds(cli.real("duration-s", full ? 10.0 : 4.0));
-  const auto seeds = cli.reals("seeds", {1, 2, 3});
+  const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold});
   const std::string scenario_name = cli.text("scenario", "controller_crash");
@@ -119,39 +80,26 @@ int main(int argc, char** argv) {
 
   scenario::ScenarioParams sp;
   sp.duration = duration;
-  sp.num_queues = kNumQueues;
+  sp.num_queues = bench::kRobQueues;
   sp.qdisc = "sw.p0";
   sp.ctrl = "sw.p0.ctrl";  // the bottleneck port's control-plane shim
-  scenario::Scenario scn;
-  try {
-    scn = scenario::make_scenario(scenario_name, sp);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const auto scn = bench::catalogue_scenario(scenario_name, sp);
+  if (!scn) return 1;
 
   std::printf("Robustness — scenario '%s' against DynaQ's control plane (testbed star)\n",
-              scn.name.c_str());
+              scn->name.c_str());
   std::puts("(watchdog fails over to DT; a reliable re-sync restores ΣT = B on return)\n");
 
-  std::vector<std::string> names;
-  for (const auto kind : schemes) names.emplace_back(core::scheme_name(kind));
-  sweep::SweepSpec spec;
-  spec.axes = {sweep::Axis::labels("scheme", std::move(names)),
-               sweep::Axis::numeric("seed", seeds)};
-  auto run = bench::run_sweep(cli, "rob_controller", spec,
+  auto run = bench::run_sweep(cli, "rob_controller", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, scn);
+                                return run_job(point, duration, *scn);
                               });
 
   harness::Table t({"scheme", "pre_gbps", "fault_gbps", "recov_gbps", "retention",
                     "failovers", "recovery_us", "actions"});
   std::vector<std::vector<double>> csv_rows;
   for (const auto& row : run.store.aggregate("seed")) {
-    const auto metric = [&row](const char* name) {
-      const auto it = row.metrics.find(name);
-      return it == row.metrics.end() ? 0.0 : it->second.mean;
-    };
+    const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("pre_gbps")),
            bench::fmt(metric("fault_gbps")), bench::fmt(metric("recovered_gbps")),
            bench::fmt(metric("throughput_retention")), bench::fmt(metric("failovers"), 0),

@@ -5,69 +5,29 @@
 // packet is lost); senders see RTOs, retransmit, and must re-fill the pipe
 // when the link returns. Reported per scheme: throughput before the first
 // flap, the flap-window dip, and post-recovery throughput.
-#include <algorithm>
-#include <stdexcept>
-
-#include "bench/common.hpp"
-#include "harness/scenario_cli.hpp"
-#include "scenario/scenario.hpp"
+#include "bench/rob_common.hpp"
 
 using namespace dynaq;
 
 namespace {
 
-constexpr int kNumQueues = 4;
-
-harness::StaticExperimentConfig experiment_config(core::SchemeKind kind, Time duration,
-                                                  std::uint64_t seed,
-                                                  const scenario::Scenario& scn) {
-  harness::StaticExperimentConfig cfg;
-  cfg.star = bench::testbed_star(kind, /*num_hosts=*/1 + 2 * kNumQueues);
-  for (int q = 0; q < kNumQueues; ++q) {
-    cfg.groups.push_back({.queue = q,
-                          .num_flows = 2,
-                          .first_src_host = 1 + 2 * q,
-                          .num_src_hosts = 2,
-                          .start = 0,
-                          .stop = 0,
-                          .cc = transport::CcKind::kNewReno});
-  }
-  cfg.duration = duration;
-  // 16 windows per run so the eighth-of-the-run scenario phases resolve.
-  cfg.meter_window = std::max(duration / 16, milliseconds(std::int64_t{10}));
-  cfg.seed = seed;
-  cfg.scenario = &scn;
-  return cfg;
-}
-
 sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
                          const scenario::Scenario& scn) {
   const auto kind = core::parse_scheme(point.label("scheme"));
   const auto seed = static_cast<std::uint64_t>(point.number("seed"));
-  auto r = harness::run_static_experiment(experiment_config(kind, duration, seed, scn));
+  auto r = harness::run_static_experiment(bench::rob_config(kind, duration, seed, &scn));
 
   // The catalogue's link_flap timeline puts outages in [2/8, 3/8) and
   // [5/8, 6/8) of the run; slice the meter windows accordingly.
-  const std::size_t n = r.meter.num_windows();
-  const auto slice_mean = [&r, n](double lo, double hi) {
-    const auto a = static_cast<std::size_t>(lo * static_cast<double>(n));
-    const auto b = std::max(a + 1, static_cast<std::size_t>(hi * static_cast<double>(n)));
-    double sum = 0.0;
-    for (std::size_t w = a; w < b && w < n; ++w) sum += r.meter.aggregate_gbps(w);
-    return sum / static_cast<double>(std::min(b, n) - a);
-  };
-
   std::map<std::string, double> metrics;
-  metrics["pre_gbps"] = slice_mean(0.125, 0.25);       // steady state before flap 1
-  metrics["flap_gbps"] = slice_mean(0.25, 0.375);      // first outage window
-  metrics["recovered_gbps"] = slice_mean(0.75, 1.0);   // after the last link_up
+  metrics["pre_gbps"] = bench::slice_mean(r.meter, 0.125, 0.25);      // before flap 1
+  metrics["flap_gbps"] = bench::slice_mean(r.meter, 0.25, 0.375);     // first outage window
+  metrics["recovered_gbps"] = bench::slice_mean(r.meter, 0.75, 1.0);  // after the last link_up
   metrics["timeouts"] = static_cast<double>(r.sender_totals.timeouts);
   metrics["retx"] = static_cast<double>(r.sender_totals.retransmissions);
   metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
   metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
-  sweep::JobResult job{std::move(metrics), std::move(r.telemetry)};
-  job.trajectory_hash = r.trajectory_hash;
-  return job;
+  return bench::job_record(std::move(metrics), r);
 }
 
 }  // namespace
@@ -77,45 +37,32 @@ int main(int argc, char** argv) {
   if (harness::list_scenarios_requested(cli)) return 0;
   const bool full = cli.flag("full");
   const Time duration = seconds(cli.real("duration-s", full ? 10.0 : 4.0));
-  const auto seeds = cli.reals("seeds", {1, 2, 3});
+  const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold, core::SchemeKind::kBestEffort});
   const std::string scenario_name = cli.text("scenario", "link_flap");
 
   scenario::ScenarioParams sp;
   sp.duration = duration;
-  sp.num_queues = kNumQueues;
+  sp.num_queues = bench::kRobQueues;
   sp.qdisc = "sw.p0";
   sp.link = "sw.p0";  // the receiver downlink: flapping it stalls all queues
-  scenario::Scenario scn;
-  try {
-    scn = scenario::make_scenario(scenario_name, sp);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const auto scn = bench::catalogue_scenario(scenario_name, sp);
+  if (!scn) return 1;
 
   std::printf("Robustness — scenario '%s' on the bottleneck link (testbed star)\n",
-              scn.name.c_str());
+              scn->name.c_str());
   std::puts("(link_down cancels the in-flight serialize timer; senders recover via RTO)\n");
 
-  std::vector<std::string> names;
-  for (const auto kind : schemes) names.emplace_back(core::scheme_name(kind));
-  sweep::SweepSpec spec;
-  spec.axes = {sweep::Axis::labels("scheme", std::move(names)),
-               sweep::Axis::numeric("seed", seeds)};
-  auto run = bench::run_sweep(cli, "rob_link_flap", spec,
+  auto run = bench::run_sweep(cli, "rob_link_flap", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, scn);
+                                return run_job(point, duration, *scn);
                               });
 
   harness::Table t({"scheme", "pre_gbps", "flap_gbps", "recov_gbps", "timeouts", "retx",
                     "actions"});
   for (const auto& row : run.store.aggregate("seed")) {
-    const auto metric = [&row](const char* name) {
-      const auto it = row.metrics.find(name);
-      return it == row.metrics.end() ? 0.0 : it->second.mean;
-    };
+    const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("pre_gbps")),
            bench::fmt(metric("flap_gbps")), bench::fmt(metric("recovered_gbps")),
            bench::fmt(metric("timeouts"), 0), bench::fmt(metric("retx"), 0),

@@ -5,56 +5,27 @@
 // invariant auditor checks the sum at each rebalance — and track the new
 // split without losing aggregate throughput; DT and BestEffort ignore
 // weights entirely and serve as the churn-oblivious baselines.
-#include <algorithm>
-#include <stdexcept>
-
-#include "bench/common.hpp"
-#include "harness/scenario_cli.hpp"
-#include "scenario/scenario.hpp"
+#include "bench/rob_common.hpp"
 #include "stats/fairness.hpp"
 
 using namespace dynaq;
 
 namespace {
 
-constexpr int kNumQueues = 4;
-
-harness::StaticExperimentConfig experiment_config(core::SchemeKind kind, Time duration,
-                                                  std::uint64_t seed,
-                                                  const scenario::Scenario& scn) {
-  harness::StaticExperimentConfig cfg;
-  cfg.star = bench::testbed_star(kind, /*num_hosts=*/1 + 2 * kNumQueues);
-  // Two sender hosts per queue (DESIGN.md): the standing queue stays at the
-  // switch egress port under test.
-  for (int q = 0; q < kNumQueues; ++q) {
-    cfg.groups.push_back({.queue = q,
-                          .num_flows = 2,
-                          .first_src_host = 1 + 2 * q,
-                          .num_src_hosts = 2,
-                          .start = 0,
-                          .stop = 0,
-                          .cc = transport::CcKind::kNewReno});
-  }
-  cfg.duration = duration;
-  // 16 windows per run so the eighth-of-the-run scenario phases resolve.
-  cfg.meter_window = std::max(duration / 16, milliseconds(std::int64_t{10}));
-  cfg.seed = seed;
-  cfg.scenario = &scn;
-  return cfg;
-}
-
 sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
                          const scenario::Scenario& scn) {
   const auto kind = core::parse_scheme(point.label("scheme"));
   const auto seed = static_cast<std::uint64_t>(point.number("seed"));
-  auto r = harness::run_static_experiment(experiment_config(kind, duration, seed, scn));
+  auto r = harness::run_static_experiment(bench::rob_config(kind, duration, seed, &scn));
 
   double agg = 0.0;
-  std::vector<double> per_queue(kNumQueues, 0.0);
+  std::vector<double> per_queue(bench::kRobQueues, 0.0);
   const auto windows = static_cast<double>(r.meter.num_windows());
   for (std::size_t w = 0; w < r.meter.num_windows(); ++w) {
     agg += r.meter.aggregate_gbps(w);
-    for (int q = 0; q < kNumQueues; ++q) per_queue[static_cast<std::size_t>(q)] += r.meter.gbps(w, q);
+    for (int q = 0; q < bench::kRobQueues; ++q) {
+      per_queue[static_cast<std::size_t>(q)] += r.meter.gbps(w, q);
+    }
   }
   for (double& x : per_queue) x /= windows;
 
@@ -64,9 +35,7 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
   metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
   metrics["retx"] = static_cast<double>(r.sender_totals.retransmissions);
   metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
-  sweep::JobResult job{std::move(metrics), std::move(r.telemetry)};
-  job.trajectory_hash = r.trajectory_hash;
-  return job;
+  return bench::job_record(std::move(metrics), r);
 }
 
 }  // namespace
@@ -76,45 +45,32 @@ int main(int argc, char** argv) {
   if (harness::list_scenarios_requested(cli)) return 0;
   const bool full = cli.flag("full");
   const Time duration = seconds(cli.real("duration-s", full ? 10.0 : 4.0));
-  const auto seeds = cli.reals("seeds", {1, 2, 3});
+  const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold, core::SchemeKind::kBestEffort});
   const std::string scenario_name = cli.text("scenario", "weight_churn");
 
   scenario::ScenarioParams sp;
   sp.duration = duration;
-  sp.num_queues = kNumQueues;
+  sp.num_queues = bench::kRobQueues;
   sp.qdisc = "sw.p0";  // the receiver downlink — the bottleneck under test
   sp.link = "sw.p0";
-  scenario::Scenario scn;
-  try {
-    scn = scenario::make_scenario(scenario_name, sp);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const auto scn = bench::catalogue_scenario(scenario_name, sp);
+  if (!scn) return 1;
 
   std::printf("Robustness — scenario '%s' over %d DRR queues (testbed star)\n",
-              scn.name.c_str(), kNumQueues);
+              scn->name.c_str(), bench::kRobQueues);
   std::puts("(mid-run actions applied through scenario::ScenarioDirector; ΣT = B audited");
   std::puts(" at every weight rebalance)\n");
 
-  std::vector<std::string> names;
-  for (const auto kind : schemes) names.emplace_back(core::scheme_name(kind));
-  sweep::SweepSpec spec;
-  spec.axes = {sweep::Axis::labels("scheme", std::move(names)),
-               sweep::Axis::numeric("seed", seeds)};
-  auto run = bench::run_sweep(cli, "rob_weight_churn", spec,
+  auto run = bench::run_sweep(cli, "rob_weight_churn", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, scn);
+                                return run_job(point, duration, *scn);
                               });
 
   harness::Table t({"scheme", "agg_gbps", "jain", "drops", "retx", "actions"});
   for (const auto& row : run.store.aggregate("seed")) {
-    const auto metric = [&row](const char* name) {
-      const auto it = row.metrics.find(name);
-      return it == row.metrics.end() ? 0.0 : it->second.mean;
-    };
+    const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("agg_gbps")),
            bench::fmt(metric("jain")), bench::fmt(metric("drops"), 0),
            bench::fmt(metric("retx"), 0), bench::fmt(metric("scenario_actions"), 0)});

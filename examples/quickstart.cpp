@@ -5,11 +5,13 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "core/scheme.hpp"
 #include "sim/simulator.hpp"
 #include "stats/throughput_meter.hpp"
+#include "telemetry/hub.hpp"
 #include "topo/star.hpp"
 #include "transport/host_agent.hpp"
 
@@ -46,11 +48,15 @@ int main() {
   for (int i = 0; i < 2; ++i) start_flow(1, /*queue=*/0);
   for (int i = 0; i < 12; ++i) start_flow(2 + i % 2, /*queue=*/1);
 
-  // 3. Meter the bottleneck (the switch port facing host 0).
+  // 3. Meter the bottleneck (the switch port facing host 0) through the
+  //    telemetry hub's wire taps: a packet starts serializing the moment
+  //    the port's queue releases it.
+  telemetry::Hub hub(sim);
+  topo.fabric().port(0).attach_telemetry(hub, "sw.p0");
   stats::ThroughputMeter meter(2, milliseconds(std::int64_t{250}));
-  topo.port_qdisc(0).on_dequeue_hook = [&](int q, const net::Packet& p, Time now) {
-    if (!p.is_ack()) meter.record(q, p.size, now);
-  };
+  hub.add_wire_listener([&](const telemetry::WireRecord& w) {
+    if (w.transmit && !w.is_ack) meter.record(std::min<int>(w.queue, 1), w.size, w.when);
+  });
 
   sim.run_until(seconds(std::int64_t{3}));
 

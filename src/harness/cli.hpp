@@ -4,7 +4,8 @@
 // it can call unknown() / complain_unknown() to catch typos
 // (--seeed=3 used to be silently ignored). Numeric accessors accept only a
 // value that parses completely: --flows=4x, --seeds=abc or a bare --flows
-// print an error naming the flag and exit with status 2.
+// print an error naming the flag and exit with status 2, as do a seed that
+// is negative or fractional (--seeds=1.5) and a bare text flag (--csv).
 #pragma once
 
 #include <charconv>
@@ -33,6 +34,7 @@ class Cli {
         values_[std::string(arg)] = argv[++i];
       } else {
         values_[std::string(arg)] = "true";
+        bare_.insert(std::string(arg));
       }
     }
   }
@@ -61,10 +63,22 @@ class Cli {
     return it == values_.end() ? fallback : parse_real(name, it->second);
   }
 
+  // A non-negative integer, e.g. --seed.
+  std::int64_t natural(const std::string& name, std::int64_t fallback) const {
+    const std::int64_t out = integer(name, fallback);
+    if (out < 0) reject(name, std::to_string(out), "a non-negative integer");
+    return out;
+  }
+
   std::string text(const std::string& name, std::string fallback) const {
     queried_.insert(name);
     const auto it = values_.find(name);
-    return it == values_.end() ? std::move(fallback) : it->second;
+    if (it == values_.end()) return fallback;
+    if (bare_.contains(name)) {  // a bare --csv would name a directory "true"
+      std::fprintf(stderr, "error: --%s needs a value\n", name.c_str());
+      std::exit(2);
+    }
+    return it->second;
   }
 
   // Comma-separated list of doubles, e.g. --loads=0.3,0.5,0.8.
@@ -80,6 +94,19 @@ class Cli {
       if (next == std::string::npos) next = s.size();
       out.push_back(parse_real(name, std::string_view(s).substr(pos, next - pos)));
       pos = next + 1;
+    }
+    return out;
+  }
+
+  // Comma-separated list of non-negative integers as doubles, the form of a
+  // numeric sweep axis, e.g. --seeds=1,2,3.
+  std::vector<double> naturals(const std::string& name, std::vector<double> fallback) const {
+    if (!has(name)) return fallback;
+    std::vector<double> out;
+    for (const std::string& s : list(name, {})) {
+      const std::int64_t v = parse_integer(name, s);
+      if (v < 0) reject(name, s, "a non-negative integer");
+      out.push_back(static_cast<double>(v));
     }
     return out;
   }
@@ -150,6 +177,7 @@ class Cli {
   }
 
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  // given without a value
   mutable std::set<std::string> queried_;
 };
 

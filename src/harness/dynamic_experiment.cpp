@@ -1,52 +1,30 @@
 #include "harness/dynamic_experiment.hpp"
 
-#include <optional>
 #include <stdexcept>
 
-#include "check/invariant_auditor.hpp"
-#include "check/trajectory_hash.hpp"
-#include "scenario/director.hpp"
+#include "harness/run.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
 #include "transport/host_agent.hpp"
 #include "workload/flow_generator.hpp"
 
 namespace dynaq::harness {
 namespace {
 
-// Builds and arms a scenario director over the topology's handles when the
-// config carries a timeline (DESIGN.md §11). The director is emplaced into
-// the caller's optional (it is pinned: scheduled closures capture `this`).
-template <typename TopoT>
-void arm_scenario(std::optional<dynaq::scenario::ScenarioDirector>& director,
-                  sim::Simulator& sim, telemetry::Hub& hub, TopoT& topo,
-                  const dynaq::scenario::Scenario* scenario) {
-  if (scenario == nullptr) return;
-  director.emplace(sim);
-  if (hub.enabled()) director->attach_telemetry(hub);
-  topo.register_scenario_handles(*director);
-  director->arm(*scenario);
-}
-
-// Folds one qdisc's audit ledger when the port runs under the auditor —
-// part of the per-run trajectory hash (DESIGN.md §10).
-void fold_ledger(check::TrajectoryHash& th, const net::MultiQueueQdisc& qdisc) {
-  if (const auto* audited =
-          dynamic_cast<const check::AuditedBufferPolicy*>(&qdisc.policy())) {
-    th.fold(audited->ledger());
-  }
-}
+// RTOmin of the two setups (the initial SRTTs follow their link delays).
+constexpr Time kStarRtoMin = milliseconds(std::int64_t{10});
+constexpr Time kFabricRtoMin = milliseconds(std::int64_t{5});
 
 // Wires one finite request flow (sender at src, receiver at dst) and
-// records its completion into `result`.
+// records its completion into `result`, which starts with every flow
+// counted incomplete.
 template <typename TopoT>
 void install_flow(TopoT& topo, const transport::FlowParams& params,
-                  DynamicExperimentResult& result, std::size_t& outstanding) {
+                  DynamicExperimentResult& result) {
   transport::FlowReceiver& rx = topo.agent(params.dst_host).add_receiver(params);
-  rx.on_complete = [&result, &outstanding](const transport::FlowReceiver& r) {
+  rx.on_complete = [&result](const transport::FlowReceiver& r) {
     result.fcts.record(r.params().id, r.params().size_bytes, r.params().start,
                        r.completion_time());
-    --outstanding;
+    --result.incomplete;
   };
   topo.agent(params.src_host).add_sender(params).start();
 }
@@ -60,31 +38,15 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
     throw std::invalid_argument("no dedicated service queues configured");
   }
 
-  sim::Simulator sim;
-  sim.enable_trajectory_fingerprint(config.fingerprint_trajectory);
+  Run<topo::StarTopology> run(config.star);
   sim::Rng rng(config.seed);
-  topo::StarConfig star_config = config.star;
-  star_config.scheme.audit = star_config.scheme.audit || config.audit_invariants;
-  topo::StarTopology topo(sim, star_config);
+  net::MultiQueueQdisc& bottleneck = run.topo.port_qdisc(config.client_host);
+  bottleneck.attach_telemetry(run.hub, "sw.p" + std::to_string(config.client_host));
+  run.instrument(config.scenario);
 
-  Time initial_srtt = config.initial_srtt;
-  if (initial_srtt == 0) initial_srtt = 4 * config.star.link_delay + microseconds(std::int64_t{25});
-  if (initial_srtt < 0) initial_srtt = 0;
-
+  const Time initial_srtt = 4 * config.star.link_delay + microseconds(std::int64_t{25});
   DynamicExperimentResult result;
-  std::size_t outstanding = config.num_flows;
-
-  telemetry::Hub hub(sim, {.enabled = config.collect_telemetry ||
-                                      config.fingerprint_trajectory,
-                           .ring_capacity = config.telemetry_ring,
-                           .fingerprint = config.fingerprint_trajectory});
-  if (hub.enabled()) {
-    topo.port_qdisc(config.client_host)
-        .attach_telemetry(hub, "sw.p" + std::to_string(config.client_host));
-    for (int i = 0; i < topo.num_hosts(); ++i) {
-      topo.host(i).nic().attach_telemetry(hub, "h" + std::to_string(i) + ".nic");
-    }
-  }
+  result.incomplete = config.num_flows;
 
   const double rate = workload::arrival_rate_for_load(
       config.load, config.star.link_rate_bps, config.dist->mean_bytes());
@@ -100,45 +62,20 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
 
   std::uint32_t next_id = 1;
   for (const workload::FlowRequest& req : flows) {
-    transport::FlowParams params;
-    params.id = next_id++;
-    params.src_host = req.src_host;
-    params.dst_host = req.dst_host;
-    params.size_bytes = req.size_bytes;
-    params.start = req.start;
-    params.service_queue = req.service_queue;
-    params.cc = config.cc;
-    params.mss = config.mss;
-    params.initial_cwnd_packets = config.initial_cwnd_packets;
-    params.rto_min = config.rto_min;
-    params.initial_srtt = initial_srtt;
-    params.pias = config.pias;
-    params.pias_threshold_bytes = config.pias_threshold_bytes;
-    params.pias_high_queue = config.pias_high_queue;
-    install_flow(topo, params, result, outstanding);
+    install_flow(run.topo,
+                 {.id = next_id++, .src_host = req.src_host, .dst_host = req.dst_host,
+                  .size_bytes = req.size_bytes, .start = req.start,
+                  .service_queue = req.service_queue, .cc = config.cc, .mss = config.mss,
+                  .rto_min = kStarRtoMin, .initial_srtt = initial_srtt, .pias = config.pias,
+                  .pias_threshold_bytes = config.pias_threshold_bytes},
+                 result);
   }
 
-  std::optional<dynaq::scenario::ScenarioDirector> director;
-  arm_scenario(director, sim, hub, topo, config.scenario);
-
-  sim.run_until(config.max_sim_time);
-  if (director) result.scenario_actions = director->actions_applied();
-  result.incomplete = outstanding;
-  result.events = sim.events_processed();
-  result.drops = topo.port_qdisc(config.client_host).stats().dropped;
-  result.marks = topo.port_qdisc(config.client_host).stats().marked;
-  result.bottleneck = topo.port_qdisc(config.client_host).stats();
-  if (config.collect_telemetry) {
-    result.telemetry = hub.summary();
-    result.telemetry_events = hub.ring_events();
-    result.telemetry_ports = hub.port_names();
-  }
-  if (config.fingerprint_trajectory) {
-    check::TrajectoryHash th;
-    th.fold(sim).fold(hub);
-    for (int i = 0; i < topo.num_hosts(); ++i) fold_ledger(th, topo.port_qdisc(i));
-    result.trajectory_hash = th.value();
-  }
+  run.run_until(config.max_sim_time);
+  run.finish(result);
+  result.drops = bottleneck.stats().dropped;
+  result.marks = bottleneck.stats().marked;
+  result.bottleneck = bottleneck.stats();
   return result;
 }
 
@@ -150,33 +87,18 @@ DynamicExperimentResult run_dynamic_leaf_spine_experiment(
     throw std::invalid_argument("more services than dedicated queues");
   }
 
-  sim::Simulator sim;
-  sim.enable_trajectory_fingerprint(config.fingerprint_trajectory);
+  Run<topo::LeafSpineTopology> run(config.fabric);
   sim::Rng rng(config.seed);
-  topo::LeafSpineConfig fabric_config = config.fabric;
-  fabric_config.scheme.audit = fabric_config.scheme.audit || config.audit_invariants;
-  topo::LeafSpineTopology topo(sim, fabric_config);
-  const int num_hosts = topo.num_hosts();
-
-  Time initial_srtt = config.initial_srtt;
-  if (initial_srtt == 0) initial_srtt = 8 * config.fabric.link_delay + microseconds(std::int64_t{5});
-  if (initial_srtt < 0) initial_srtt = 0;
-
-  DynamicExperimentResult result;
-  std::size_t outstanding = config.num_flows;
-
-  telemetry::Hub hub(sim, {.enabled = config.collect_telemetry || config.fingerprint_trajectory,
-                           .ring_capacity = config.telemetry_ring,
-                           .fingerprint = config.fingerprint_trajectory});
-  if (hub.enabled()) {
-    const auto& qdiscs = topo.all_qdiscs();
-    for (std::size_t i = 0; i < qdiscs.size(); ++i) {
-      qdiscs[i]->attach_telemetry(hub, "sw.p" + std::to_string(i));
-    }
-    for (int i = 0; i < num_hosts; ++i) {
-      topo.host(i).nic().attach_telemetry(hub, "h" + std::to_string(i) + ".nic");
-    }
+  const auto& qdiscs = run.topo.all_qdiscs();
+  for (std::size_t i = 0; i < qdiscs.size(); ++i) {
+    qdiscs[i]->attach_telemetry(run.hub, "sw.p" + std::to_string(i));
   }
+  run.instrument(config.scenario);
+  const int num_hosts = run.topo.num_hosts();
+
+  const Time initial_srtt = 8 * config.fabric.link_delay + microseconds(std::int64_t{5});
+  DynamicExperimentResult result;
+  result.incomplete = config.num_flows;
 
   // Per-service flow-size distributions, cycling through the four
   // production workloads (paper: "Different services use different traffic
@@ -202,50 +124,26 @@ DynamicExperimentResult run_dynamic_leaf_spine_experiment(
   for (std::size_t i = 0; i < config.num_flows; ++i) {
     t_seconds += rng.exponential(1.0 / total_rate);
     const int service = static_cast<int>(rng.uniform_int(0, config.num_services - 1));
-
-    transport::FlowParams params;
-    params.id = next_id++;
-    params.src_host = static_cast<int>(rng.uniform_int(0, num_hosts - 1));
-    do {
-      params.dst_host = static_cast<int>(rng.uniform_int(0, num_hosts - 1));
-    } while (params.dst_host == params.src_host);
-    params.size_bytes = service_dist[static_cast<std::size_t>(service)]->sample(rng);
-    params.start = seconds(t_seconds);
-    params.service_queue = 1 + service;  // queue 0 is the shared SPQ queue
-    params.cc = config.cc;
-    params.mss = config.mss;
-    params.initial_cwnd_packets = config.initial_cwnd_packets;
-    params.rto_min = config.rto_min;
-    params.initial_srtt = initial_srtt;
-    params.pias = config.pias;
-    params.pias_threshold_bytes = config.pias_threshold_bytes;
-    params.pias_high_queue = 0;
-    install_flow(topo, params, result, outstanding);
+    const int src = static_cast<int>(rng.uniform_int(0, num_hosts - 1));
+    int dst = src;
+    while (dst == src) dst = static_cast<int>(rng.uniform_int(0, num_hosts - 1));
+    // Braced initializers run in order: the size draw follows the hosts'.
+    install_flow(run.topo,
+                 {.id = next_id++, .src_host = src, .dst_host = dst,
+                  .size_bytes = service_dist[static_cast<std::size_t>(service)]->sample(rng),
+                  .start = seconds(t_seconds),
+                  .service_queue = 1 + service,  // queue 0 is the shared SPQ queue
+                  .cc = config.cc, .mss = config.mss, .rto_min = kFabricRtoMin,
+                  .initial_srtt = initial_srtt, .pias = config.pias,
+                  .pias_threshold_bytes = config.pias_threshold_bytes},
+                 result);
   }
 
-  std::optional<dynaq::scenario::ScenarioDirector> director;
-  arm_scenario(director, sim, hub, topo, config.scenario);
-
-  sim.run_until(config.max_sim_time);
-  if (director) result.scenario_actions = director->actions_applied();
-  result.incomplete = outstanding;
-  result.events = sim.events_processed();
-  for (const net::MultiQueueQdisc* q : topo.all_qdiscs()) {
+  run.run_until(config.max_sim_time);
+  run.finish(result);
+  for (const net::MultiQueueQdisc* q : qdiscs) {
     result.drops += q->stats().dropped;
     result.marks += q->stats().marked;
-  }
-  if (config.collect_telemetry) {
-    result.telemetry = hub.summary();
-    result.telemetry_events = hub.ring_events();
-    result.telemetry_ports = hub.port_names();
-  }
-  if (config.fingerprint_trajectory) {
-    check::TrajectoryHash th;
-    th.fold(sim).fold(hub);
-    // all_qdiscs() enumerates ports in a construction-fixed order, so the
-    // ledger fold order is identical across same-seed runs.
-    for (const net::MultiQueueQdisc* q : topo.all_qdiscs()) fold_ledger(th, *q);
-    result.trajectory_hash = th.value();
   }
   return result;
 }

@@ -4,12 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "harness/run_result.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/fct_recorder.hpp"
-#include "telemetry/hub.hpp"
 #include "topo/leaf_spine.hpp"
 #include "topo/star.hpp"
 #include "transport/flow.hpp"
@@ -21,7 +19,8 @@ namespace dynaq::harness {
 // (sizes from `dist`) to one client over a star; the client downlink is the
 // bottleneck whose load is swept. Each flow lands on a uniformly random
 // dedicated service queue, with PIAS promoting its first 100 KB to the
-// strict-priority queue when enabled.
+// strict-priority queue when enabled. Flows run on persistent connections:
+// RTOmin 10 ms, initial SRTT 4 x link delay + 25 us (about the base RTT).
 struct DynamicStarConfig {
   topo::StarConfig star;
   int client_host = 0;
@@ -32,42 +31,22 @@ struct DynamicStarConfig {
   transport::CcKind cc = transport::CcKind::kNewReno;
   bool pias = true;
   std::int64_t pias_threshold_bytes = 100'000;
-  int pias_high_queue = 0;
   int first_service_queue = 1;  // dedicated queues [first, num_queues)
   std::int32_t mss = net::kDefaultMss;
-  Time rto_min = milliseconds(std::int64_t{10});
-  double initial_cwnd_packets = 10.0;
-  // Persistent-connection RTT seeding; 0 derives ~the base RTT from the
-  // topology's link delay (pass a negative value for cold connections).
-  Time initial_srtt = 0;
   std::uint64_t seed = 1;
   Time max_sim_time = seconds(std::int64_t{3600});
-  // Audit every port's buffer policy against the contract (DESIGN.md §6);
-  // see StaticExperimentConfig::audit_invariants.
-  bool audit_invariants = true;
-  // Telemetry hub attachment (DESIGN.md §8); see StaticExperimentConfig.
-  bool collect_telemetry = true;
-  std::size_t telemetry_ring = 4096;
-  // Trajectory-fingerprint oracle (DESIGN.md §10); see StaticExperimentConfig.
-  bool fingerprint_trajectory = true;
   // Optional mid-run timeline (DESIGN.md §11). Dynamic runs register only
   // topology handles (no per-queue sender lists, no incast launcher), so
   // arm() rejects service_join/leave and incast_burst actions here.
   const scenario::Scenario* scenario = nullptr;
 };
 
-struct DynamicExperimentResult {
+struct DynamicExperimentResult : RunResult {
   stats::FctRecorder fcts;
   std::size_t incomplete = 0;  // flows unfinished at max_sim_time (should be 0)
-  std::uint64_t events = 0;
   std::uint64_t drops = 0;   // at measured bottleneck qdisc(s)
   std::uint64_t marks = 0;
   net::MqStats bottleneck;   // star: the client downlink port (leaf-spine: unset)
-  telemetry::TelemetrySummary telemetry;           // empty when collection is off
-  std::vector<telemetry::Event> telemetry_events;  // tail of the event ring
-  std::vector<std::string> telemetry_ports;        // observation-point names
-  std::uint64_t trajectory_hash = 0;  // 0 when fingerprint_trajectory is off
-  std::uint64_t scenario_actions = 0;  // timeline mutations applied (DESIGN.md §11)
 };
 
 DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& config);
@@ -76,6 +55,7 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
 // `num_services` services on dedicated DRR queues (1..7), each service
 // drawing sizes from its own workload distribution (cycled through the four
 // production CDFs), PIAS promoting small flows to the shared SPQ queue.
+// RTOmin 5 ms, initial SRTT 8 x link delay + 5 us (about the base RTT).
 struct DynamicLeafSpineConfig {
   topo::LeafSpineConfig fabric;
   std::size_t num_flows = 2000;
@@ -85,15 +65,8 @@ struct DynamicLeafSpineConfig {
   bool pias = true;
   std::int64_t pias_threshold_bytes = 100'000;
   std::int32_t mss = net::kDefaultMss;
-  Time rto_min = milliseconds(std::int64_t{5});
-  double initial_cwnd_packets = 10.0;
-  Time initial_srtt = 0;  // see DynamicStarConfig
   std::uint64_t seed = 1;
   Time max_sim_time = seconds(std::int64_t{3600});
-  bool audit_invariants = true;  // see DynamicStarConfig
-  bool collect_telemetry = true;  // see DynamicStarConfig
-  std::size_t telemetry_ring = 4096;
-  bool fingerprint_trajectory = true;  // see DynamicStarConfig
   const scenario::Scenario* scenario = nullptr;  // see DynamicStarConfig
 };
 

@@ -4,16 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include <string>
-
 #include "ctrlplane/control_plane.hpp"
+#include "harness/run_result.hpp"
 #include "net/multi_queue_qdisc.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/throughput_meter.hpp"
-#include "telemetry/hub.hpp"
 #include "topo/star.hpp"
 #include "transport/flow.hpp"
 #include "transport/flow_sender.hpp"
@@ -45,24 +42,9 @@ struct StaticExperimentConfig {
   Time start_jitter = milliseconds(std::int64_t{1});
   std::int32_t mss = net::kDefaultMss;
   Time rto_min = milliseconds(std::int64_t{10});
-  double initial_cwnd_packets = 10.0;
   std::size_t queue_samples = 0;  // >0: record per-op queue length samples
   std::size_t queue_sample_skip = 0;
   std::uint64_t seed = 1;
-  // Run every switch-port buffer policy under check::AuditedBufferPolicy,
-  // throwing AuditError at the first contract violation (DESIGN.md §6). On
-  // by default so the whole test suite runs audited; disable for
-  // paper-scale perf runs.
-  bool audit_invariants = true;
-  // Attach a telemetry::Hub (DESIGN.md §8) to the bottleneck port and every
-  // host NIC: typed events, drop reasons, per-queue queueing-delay
-  // histograms, and the queue_samples time series all flow through it.
-  bool collect_telemetry = true;
-  std::size_t telemetry_ring = 4096;  // newest events kept in the result
-  // Fold the run into a check::TrajectoryHash (DESIGN.md §10): event-engine
-  // pop stream + telemetry event bus + per-port audit ledgers. Equal seeds
-  // must yield equal hashes; ci.sh diffs them across repeat/jobs/seed runs.
-  bool fingerprint_trajectory = true;
   // Control-plane model (DESIGN.md §14): when enabled and the scheme is
   // kDynaQ, every switch port runs its DynaQ policy behind a
   // ctrlplane::ControlPlanePolicy shim (async threshold updates, watchdog
@@ -78,17 +60,11 @@ struct StaticExperimentConfig {
   const scenario::Scenario* scenario = nullptr;
 };
 
-struct StaticExperimentResult {
-  stats::ThroughputMeter meter;
+struct StaticExperimentResult : RunResult {
+  stats::ThroughputMeter meter;  // bottleneck data bytes, per queue and window
   std::vector<telemetry::QueueSample> queue_samples;
   net::MqStats bottleneck_stats;
   transport::SenderStats sender_totals;  // summed over all flows
-  std::uint64_t events = 0;
-  telemetry::TelemetrySummary telemetry;         // empty when collection is off
-  std::vector<telemetry::Event> telemetry_events;  // tail of the event ring
-  std::vector<std::string> telemetry_ports;        // observation-point names
-  std::uint64_t trajectory_hash = 0;  // 0 when fingerprint_trajectory is off
-  std::uint64_t scenario_actions = 0;  // timeline mutations applied (DESIGN.md §11)
 };
 
 StaticExperimentResult run_static_experiment(const StaticExperimentConfig& config);

@@ -89,7 +89,6 @@ bool MultiQueueQdisc::enqueue(Packet&& p) {
       emit_packet_event(*tel_hub, telemetry::EventKind::kEvict, victim, evicted,
                         telemetry::DropReason::kThreshold, q);
     }
-    if (on_drop_hook) on_drop_hook(victim, evicted, sim_.now());
     fits = state_.port_bytes + p.size <= state_.buffer_bytes &&
            (pool_ == nullptr || pool_->free_bytes() >= p.size);
   }
@@ -110,8 +109,6 @@ bool MultiQueueQdisc::enqueue(Packet&& p) {
                                   : policy_->last_drop_reason());
       if (tel_hub->sampling_active()) sample_queues(*tel_hub);
     }
-    if (on_drop_hook) on_drop_hook(q, p, sim_.now());
-    if (on_op_hook) on_op_hook(state_, sim_.now());
     return false;
   }
 
@@ -148,7 +145,6 @@ bool MultiQueueQdisc::enqueue(Packet&& p) {
                       telemetry::DropReason::kThreshold);
     if (tel_hub->sampling_active()) sample_queues(*tel_hub);
   }
-  if (on_op_hook) on_op_hook(state_, sim_.now());
   return true;
 }
 
@@ -198,8 +194,6 @@ std::optional<Packet> MultiQueueQdisc::dequeue() {
     hub->record_queue_delay(q, sojourn);
     if (hub->sampling_active()) sample_queues(*hub);
   }
-  if (on_dequeue_hook) on_dequeue_hook(q, p, sim_.now());
-  if (on_op_hook) on_op_hook(state_, sim_.now());
   return p;
 }
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -81,14 +80,6 @@ class MultiQueueQdisc final : public QueueDisc {
   // enabled — the occupancy/threshold time series. Costs one null-pointer
   // test per operation until attached.
   void attach_telemetry(telemetry::Hub& hub, const std::string& name) override;
-
-  // Observability hooks (throughput meters, queue-length samplers). All are
-  // optional and invoked synchronously. Measurement drivers (src/harness,
-  // bench, tests) may assign these; library code must subscribe through
-  // telemetry::Hub instead (tools/check_conventions.sh rule 8).
-  std::function<void(int queue, const Packet&, Time now)> on_dequeue_hook;
-  std::function<void(int queue, const Packet&, Time now)> on_drop_hook;
-  std::function<void(const MqState&, Time now)> on_op_hook;  // after every enqueue/dequeue
 
  private:
   // Hub attached and collecting: the single guarded branch of the disabled

@@ -88,8 +88,7 @@ class Simulator {
   // event folds (when, seq) into an FNV-1a digest — one guarded branch per
   // pop, off by default so the event-engine perf budgets are unaffected.
   // Observation only: enabling it never perturbs the simulation.
-  void enable_trajectory_fingerprint(bool on = true) { fingerprint_pops_ = on; }
-  bool trajectory_fingerprint_enabled() const { return fingerprint_pops_; }
+  void enable_trajectory_fingerprint() { fingerprint_pops_ = true; }
   std::uint64_t trajectory_fingerprint() const { return pop_fingerprint_; }
 
  private:

@@ -83,7 +83,6 @@ class Hub {
   // Event-bus half of the trajectory fingerprint (HubConfig::fingerprint):
   // the FNV-1a digest of every event emitted so far, in emission order.
   std::uint64_t trajectory_fingerprint() const { return fingerprint_; }
-  bool fingerprinting() const { return fingerprint_events_; }
 
   // ---- observation points -------------------------------------------------
   // Registers an observation point; idempotent per name (the same name maps

@@ -64,6 +64,7 @@ class StarTopology {
   // Multi-queue egress buffer of the switch port facing host `i` — where
   // the bottleneck lives when host `i` is the receiver.
   net::MultiQueueQdisc& port_qdisc(int i) { return *port_qdiscs_[static_cast<std::size_t>(i)]; }
+  const std::vector<net::MultiQueueQdisc*>& all_qdiscs() const { return port_qdiscs_; }
 
   // Host i's NIC loss queue, or nullptr unless config.lossy_nics is set.
   net::BernoulliLossQueue* nic_loss(int i) { return nic_loss_[static_cast<std::size_t>(i)]; }

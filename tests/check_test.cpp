@@ -12,11 +12,13 @@
 #include "check/invariant_auditor.hpp"
 #include "core/policies.hpp"
 #include "core/scheme.hpp"
+#include "harness/dynamic_experiment.hpp"
 #include "harness/static_experiment.hpp"
 #include "net/multi_queue_qdisc.hpp"
 #include "net/schedulers.hpp"
 #include "sim/simulator.hpp"
 #include "topo/scheduler_factory.hpp"
+#include "workload/flow_size_distribution.hpp"
 
 namespace dynaq {
 namespace {
@@ -318,10 +320,39 @@ TEST(AuditorProperty, AllSchemesRunCleanUnderAudit) {
                   {.queue = 1, .num_flows = 2, .first_src_host = 1, .num_src_hosts = 2,
                    .start = 0, .stop = 0, .cc = transport::CcKind::kNewReno}};
     cfg.duration = milliseconds(std::int64_t{300});
-    ASSERT_TRUE(cfg.audit_invariants) << "audit must be on by default";
     const auto r = harness::run_static_experiment(cfg);
     EXPECT_GT(r.bottleneck_stats.enqueued, 0u) << scheme_name(kind);
   }
+}
+
+// Every harness entry point runs its switch policies under the auditor: a
+// policy whose thresholds do not sum to B stops each of them at the first
+// check.
+TEST(AuditorProperty, EveryHarnessEntryPointAudits) {
+  const auto broken = [] { return std::make_unique<BrokenPolicy>(Sins{.bad_sum = true}); };
+
+  harness::StaticExperimentConfig st;
+  st.star.num_hosts = 3;
+  st.star.queue_weights = {1, 1};
+  st.star.scheme.custom_policy = broken;
+  st.groups = {{.queue = 0, .num_flows = 1, .first_src_host = 1, .num_src_hosts = 1}};
+  st.duration = milliseconds(std::int64_t{10});
+  EXPECT_THROW(harness::run_static_experiment(st), check::AuditError);
+
+  harness::DynamicStarConfig ds;
+  ds.star.queue_weights = {1, 1, 1};
+  ds.star.scheme.custom_policy = broken;
+  ds.num_flows = 10;
+  ds.dist = &workload::web_search_workload();
+  EXPECT_THROW(harness::run_dynamic_star_experiment(ds), check::AuditError);
+
+  harness::DynamicLeafSpineConfig ls;
+  ls.fabric.num_leaves = 2;
+  ls.fabric.num_spines = 2;
+  ls.fabric.hosts_per_leaf = 2;
+  ls.fabric.scheme.custom_policy = broken;
+  ls.num_flows = 10;
+  EXPECT_THROW(harness::run_dynamic_leaf_spine_experiment(ls), check::AuditError);
 }
 
 // TNA-staleness ablation runs Algorithm 1 on stale queue depths; the

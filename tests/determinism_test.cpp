@@ -4,11 +4,13 @@
 // end-to-end.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "check/trajectory_hash.hpp"
 #include "harness/dynamic_experiment.hpp"
 #include "harness/static_experiment.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "stats/fairness.hpp"
 #include "telemetry/hub.hpp"
@@ -90,12 +92,62 @@ TEST(TrajectoryHash, StaticExperimentStableAndOptional) {
   const auto b = harness::run_static_experiment(cfg);
   EXPECT_NE(a.trajectory_hash, 0u);
   EXPECT_EQ(a.trajectory_hash, b.trajectory_hash);
+  EXPECT_EQ(a.events, b.events);
+}
 
-  cfg.fingerprint_trajectory = false;
-  const auto off = harness::run_static_experiment(cfg);
-  EXPECT_EQ(off.trajectory_hash, 0u);
-  // Opting out of the oracle must not change the trajectory itself.
-  EXPECT_EQ(off.events, a.events);
+// One small run per harness entry point, hashed before the three builders
+// shared one run assembly. A change that moves a trajectory on purpose
+// updates these values and says why in CHANGES.md.
+TEST(TrajectoryHash, PinnedPerEntryPoint) {
+  scenario::ScenarioParams sp;
+  sp.duration = milliseconds(std::int64_t{300});
+  const scenario::Scenario mixed = scenario::make_scenario("mixed", sp);
+  harness::StaticExperimentConfig st;
+  st.star.num_hosts = 9;
+  st.star.scheme.kind = core::SchemeKind::kDynaQ;
+  for (int q = 0; q < 4; ++q) {
+    st.groups.push_back({.queue = q, .num_flows = 2, .first_src_host = 1 + 2 * q,
+                         .num_src_hosts = 2});
+  }
+  st.duration = sp.duration;
+  st.meter_window = milliseconds(std::int64_t{50});
+  st.seed = 3;
+  st.control_plane.enabled = true;
+  st.control_plane.update_period = milliseconds(std::int64_t{5});
+  st.control_plane.update_delay = milliseconds(std::int64_t{1});
+  st.scenario = &mixed;
+  const auto s = harness::run_static_experiment(st);
+  EXPECT_GT(s.scenario_actions, 0u);
+  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(s.trajectory_hash), "0x05600e22100bf113");
+  // The bottleneck meter sits outside the hash; pin the bytes it counted.
+  std::int64_t metered = 0;
+  for (std::size_t w = 0; w < s.meter.num_windows(); ++w) {
+    for (int q = 0; q < s.meter.num_queues(); ++q) {
+      metered += std::llround(s.meter.gbps(w, q) * 1e9 * to_seconds(s.meter.window()) / 8.0);
+    }
+  }
+  EXPECT_EQ(metered, 33871600);
+
+  harness::DynamicStarConfig ds;
+  ds.star.queue_weights = {1, 1, 1, 1, 1};
+  ds.star.scheduler = topo::SchedulerKind::kSpqOverDrr;
+  ds.num_flows = 120;
+  ds.load = 0.6;
+  ds.dist = &workload::web_search_workload();
+  ds.seed = 4;
+  const auto d = harness::run_dynamic_star_experiment(ds);
+  EXPECT_EQ(d.incomplete, 0u);
+  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(d.trajectory_hash), "0x44d0fba0d3e034c9");
+
+  harness::DynamicLeafSpineConfig ls;
+  ls.fabric.num_leaves = 3;
+  ls.fabric.num_spines = 3;
+  ls.fabric.hosts_per_leaf = 3;
+  ls.num_flows = 120;
+  ls.seed = 5;
+  const auto l = harness::run_dynamic_leaf_spine_experiment(ls);
+  EXPECT_EQ(l.incomplete, 0u);
+  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(l.trajectory_hash), "0xe86331d145c15721");
 }
 
 // Two trajectories with identical event timing but a different packet-level

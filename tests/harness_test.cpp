@@ -102,6 +102,33 @@ TEST(CliDeathTest, MalformedNumbersExitNamingTheFlag) {
   EXPECT_EXIT(make_cli({"--seeds=1,,2"}).reals("seeds", {}), usage_error, "--seeds: ''");
 }
 
+// A seed axis takes non-negative integers only: --seeds=1.5 used to be
+// recorded as 1.5 but run as seed 1, and a negative seed is undefined once
+// cast to an unsigned seed.
+TEST(CliDeathTest, FractionalOrNegativeSeedsExitNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--seeds=1.5"}).naturals("seeds", {}), usage_error,
+              "--seeds: '1.5' is not an integer");
+  EXPECT_EXIT(make_cli({"--seeds=1,-1"}).naturals("seeds", {}), usage_error,
+              "--seeds: '-1' is not a non-negative integer");
+  EXPECT_EXIT(make_cli({"--seed=-2"}).natural("seed", 1), usage_error,
+              "--seed: '-2' is not a non-negative integer");
+  const auto cli = make_cli({"--seeds=0,2,3"});
+  EXPECT_EQ(cli.naturals("seeds", {}), (std::vector<double>{0, 2, 3}));
+  EXPECT_EQ(cli.naturals("absent", {7}), std::vector<double>{7});
+}
+
+// A text flag given without a value used to read as "true" (--csv wrote
+// into a directory named true after the whole run).
+TEST(CliDeathTest, BareTextFlagExitsNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--csv"}).text("csv", ""), usage_error, "--csv needs a value");
+  EXPECT_EXIT(make_cli({"--json", "--strict"}).text("json", ""), usage_error,
+              "--json needs a value");
+  EXPECT_EQ(make_cli({"--csv", "out"}).text("csv", ""), "out");
+  EXPECT_TRUE(make_cli({"--strict"}).flag("strict"));
+}
+
 // -------------------------------------------------------------- Table --
 
 TEST(Table, AlignsColumns) {

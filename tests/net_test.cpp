@@ -338,22 +338,6 @@ TEST(MultiQueueQdisc, DequeueFollowsScheduler) {
   EXPECT_TRUE(qd.empty());
 }
 
-TEST(MultiQueueQdisc, HooksFire) {
-  sim::Simulator sim;
-  net::MultiQueueQdisc qd(sim, {1}, 1500, std::make_unique<core::BestEffortPolicy>(),
-                          std::make_unique<net::SpqScheduler>());
-  int deq = 0, drop = 0, ops = 0;
-  qd.on_dequeue_hook = [&](int, const net::Packet&, Time) { ++deq; };
-  qd.on_drop_hook = [&](int, const net::Packet&, Time) { ++drop; };
-  qd.on_op_hook = [&](const net::MqState&, Time) { ++ops; };
-  qd.enqueue(data_pkt(0));
-  qd.enqueue(data_pkt(0));  // dropped
-  qd.dequeue();
-  EXPECT_EQ(deq, 1);
-  EXPECT_EQ(drop, 1);
-  EXPECT_EQ(ops, 3);
-}
-
 TEST(MultiQueueQdisc, OutOfRangeQueueClampsToLast) {
   sim::Simulator sim;
   net::MultiQueueQdisc qd(sim, {1, 1}, 100'000, std::make_unique<core::BestEffortPolicy>(),

@@ -189,7 +189,7 @@ TEST(Director, DynamicRunRejectsServiceChurn) {
 // ------------------------------------------------------- weight churn --
 
 TEST(WeightChurn, SigmaTAuditedThroughEveryRebalance) {
-  // audit_invariants defaults on: every set_weights lands on the auditor's
+  // Harness runs always audit: every set_weights lands on the auditor's
   // "on_weights_changed" checkpoint, which throws AuditError the moment
   // ΣT ≠ B. A clean run therefore certifies the invariant at all six
   // rebalances (5 promotions + restore).
@@ -278,7 +278,7 @@ TEST(LossWindow, InjectedDropsAreTaggedAndLedgerHolds) {
   sp.loss_burst_rate = 0.05;
   const auto scn = scenario::make_scenario("loss_burst", sp);
   cfg.scenario = &scn;
-  // audit_invariants on: injected drops happen before the switch buffer, so
+  // Audited run: injected drops happen before the switch buffer, so
   // the port conservation ledger must not notice them — AuditError otherwise.
   const auto r = harness::run_static_experiment(cfg);
   EXPECT_EQ(r.scenario_actions, 2u) << "window open + close";

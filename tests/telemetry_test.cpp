@@ -19,6 +19,8 @@
 #include "sim/simulator.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "telemetry/hub.hpp"
+#include "topo/star.hpp"
+#include "transport/host_agent.hpp"
 #include "workload/flow_size_distribution.hpp"
 
 namespace dynaq {
@@ -235,25 +237,65 @@ TEST(Telemetry, DisabledHubHasZeroSideEffects) {
   EXPECT_TRUE(s.queue_delay.empty());
 }
 
+// Below the harness (which always observes): the same hand-built star, run
+// once with a hub sampling queues and tapping the wire and once with none.
 TEST(Telemetry, CollectionDoesNotPerturbTheSimulation) {
-  harness::StaticExperimentConfig cfg;
-  cfg.star.num_hosts = 3;
-  cfg.groups = {{.queue = 0, .num_flows = 2, .first_src_host = 1, .num_src_hosts = 2,
-                 .start = 0, .stop = 0, .cc = transport::CcKind::kNewReno},
-                {.queue = 1, .num_flows = 2, .first_src_host = 1, .num_src_hosts = 2,
-                 .start = 0, .stop = 0, .cc = transport::CcKind::kNewReno}};
-  cfg.duration = milliseconds(std::int64_t{500});
-  cfg.collect_telemetry = true;
-  const auto with = harness::run_static_experiment(cfg);
-  cfg.collect_telemetry = false;
-  const auto without = harness::run_static_experiment(cfg);
+  struct Outcome {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t events = 0;
+    net::MqStats bottleneck;
+    std::uint64_t observed = 0;  // hub events + wire records seen
+  };
+  const auto run = [](bool observe) {
+    sim::Simulator sim;
+    sim.enable_trajectory_fingerprint();
+    topo::StarConfig cfg;
+    cfg.num_hosts = 4;
+    cfg.queue_weights = {1, 1};
+    cfg.scheme.kind = core::SchemeKind::kDynaQ;
+    topo::StarTopology topo(sim, cfg);
+    telemetry::Hub hub(sim);
+    Outcome out;
+    if (observe) {
+      topo.fabric().port(0).attach_telemetry(hub, "sw.p0");
+      for (int i = 0; i < topo.num_hosts(); ++i) {
+        topo.host(i).nic().attach_telemetry(hub, "h" + std::to_string(i) + ".nic");
+      }
+      hub.enable_queue_sampling(10'000);
+      hub.add_wire_listener([&out](const telemetry::WireRecord&) { ++out.observed; });
+    }
+    std::uint32_t id = 1;
+    for (int src = 1; src < 4; ++src) {
+      for (int queue = 0; queue < 2; ++queue) {
+        const transport::FlowParams params{.id = id++, .src_host = src, .dst_host = 0,
+                                           .stop = milliseconds(std::int64_t{400}),
+                                           .service_queue = queue};
+        topo.agent(0).add_receiver(params);
+        topo.agent(src).add_sender(params).start();
+      }
+    }
+    sim.run_until(milliseconds(std::int64_t{500}));
+    out.fingerprint = sim.trajectory_fingerprint();
+    out.events = sim.events_processed();
+    out.bottleneck = topo.port_qdisc(0).stats();
+    out.observed += hub.summary().enqueues + hub.queue_samples().size();
+    return out;
+  };
+  const Outcome with = run(true);
+  const Outcome without = run(false);
 
-  EXPECT_EQ(with.events, without.events) << "observation must not change the trajectory";
-  EXPECT_EQ(with.bottleneck_stats.enqueued, without.bottleneck_stats.enqueued);
-  EXPECT_EQ(with.bottleneck_stats.dropped, without.bottleneck_stats.dropped);
-  EXPECT_GT(with.telemetry.enqueues, 0u);
-  EXPECT_EQ(without.telemetry.enqueues, 0u);
-  EXPECT_TRUE(without.telemetry_events.empty());
+  EXPECT_GT(with.observed, 0u);
+  EXPECT_EQ(without.observed, 0u);
+  EXPECT_EQ(with.fingerprint, without.fingerprint) << "observation must not change the trajectory";
+  EXPECT_EQ(with.events, without.events);
+  EXPECT_EQ(with.bottleneck.enqueued, without.bottleneck.enqueued);
+  EXPECT_EQ(with.bottleneck.evicted, without.bottleneck.evicted);
+  EXPECT_EQ(with.bottleneck.dropped, without.bottleneck.dropped);
+  EXPECT_EQ(with.bottleneck.dropped_by_policy, without.bottleneck.dropped_by_policy);
+  EXPECT_EQ(with.bottleneck.dropped_port_full, without.bottleneck.dropped_port_full);
+  EXPECT_EQ(with.bottleneck.marked, without.bottleneck.marked);
+  EXPECT_EQ(with.bottleneck.enqueued_per_queue, without.bottleneck.enqueued_per_queue);
+  EXPECT_EQ(with.bottleneck.dropped_per_queue, without.bottleneck.dropped_per_queue);
 }
 
 // -------------------------------------------- harness cross-checks -----

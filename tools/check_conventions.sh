@@ -46,12 +46,11 @@
 #      thresholds, watchdog failover and re-sync all flow through
 #      ctrlplane::ControlPlanePolicy so the bounded-staleness audit and the
 #      trajectory hash see every change.
-#   8. Instrumentation goes through telemetry::Hub (DESIGN.md §8): no
-#      ad-hoc per-port callback mutation. The last-writer-wins Port
-#      callbacks (on_transmit_start/on_deliver) were replaced by the hub's
-#      wire taps and must not be reintroduced; library code in src/ must
-#      not assign the qdisc measurement hooks (only measurement drivers —
-#      src/harness, bench/, tests/, examples/ — may).
+#   8. Instrumentation goes through telemetry::Hub (DESIGN.md §8), the one
+#      observation channel: its event bus plus its wire taps. The
+#      last-writer-wins Port callbacks (on_transmit_start/on_deliver) and
+#      the MultiQueueQdisc measurement hooks (on_*_hook) were replaced by
+#      the hub and must not be reintroduced anywhere.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -128,12 +127,10 @@ if [[ -n "$hits" ]]; then
   complain "telemetry-hub-instrumentation" \
     "per-port wire callbacks were replaced by telemetry::Hub wire taps (DESIGN.md §8):" "$hits"
 fi
-hits=$(grep -rnE '\.?on_(dequeue_hook|drop_hook|op_hook)\s*=' src/ \
-  | grep -v '^src/harness/' | grep -v '^src/net/multi_queue_qdisc.hpp' \
-  | grep -vE '^\S+:\s*//' || true)
+hits=$(grep -rnE '\bon_[a-z_]+_hook\b' src/ tests/ bench/ examples/ 2>/dev/null || true)
 if [[ -n "$hits" ]]; then
   complain "telemetry-hub-instrumentation" \
-    "library code must observe via telemetry::Hub, not qdisc measurement hooks:" "$hits"
+    "qdisc measurement hooks were replaced by telemetry::Hub subscribers and wire taps:" "$hits"
 fi
 
 # -- 9. allocation-free event scheduling (DESIGN.md §9) ----------------------

@@ -21,6 +21,10 @@
 #                0), Bernoulli update loss, watchdog failover to DT and the
 #                re-sync restore are all part of the trajectory, for any
 #                worker count.
+#   7. leaf-spine: a small bench/fig13_leaf_spine run (3x3 fabric, 200
+#                flows) satisfies the same properties, so the leaf-spine
+#                run builder (ECMP, PIAS, all-to-all Poisson traffic) is
+#                under the gate as well as the star builders.
 #
 # Usage: check_determinism.sh <build-dir>
 set -eu
@@ -153,7 +157,36 @@ if ! grep -q '"failovers":[1-9]' "$work/ctrl_repeat_a/rob_controller.json"; then
   fail=1
 fi
 
+# -- leaf-spine fabric runs ---------------------------------------------------
+lbin="$build/bench/fig13_leaf_spine"
+[[ -x "$lbin" ]] || { echo "check_determinism: $lbin not built" >&2; exit 1; }
+
+run_fabric() {  # run_fabric <outdir> <extra flags...>
+  local out="$work/$1"
+  shift
+  mkdir -p "$out"
+  "$lbin" --leaves=3 --flows=200 --loads=0.5 --schemes=DynaQ,BestEffort --strict \
+    --json "$out" "$@" > /dev/null
+  grep -o '"trajectory_hash":"0x[0-9a-f]*"' "$out/fig13_leaf_spine.json" | sort
+}
+
+la=$(run_fabric fabric_repeat_a --seeds=1,2 --jobs=1)
+lb=$(run_fabric fabric_repeat_b --seeds=1,2 --jobs=1)
+expect_equal "leaf-spine: same seed, repeated run" "$la" "$lb"
+lj=$(run_fabric fabric_jobs_4 --seeds=1,2 --jobs=4)
+expect_equal "leaf-spine: --jobs 1 vs --jobs 4" "$la" "$lj"
+lo=$(run_fabric fabric_seed_b --seeds=3,4 --jobs=2)
+if [[ -n "$(comm -12 <(printf '%s\n' "$la") <(printf '%s\n' "$lo"))" ]]; then
+  echo "check_determinism: FAILED (leaf-spine: different seeds produced a shared hash):"
+  comm -12 <(printf '%s\n' "$la") <(printf '%s\n' "$lo") | sed 's/^/  /'
+  fail=1
+fi
+if [[ $(printf '%s\n' "$la" | grep -c trajectory_hash) -lt 4 ]]; then
+  echo "check_determinism: FAILED (leaf-spine: no trajectory_hash fields in sweep JSON)"
+  fail=1
+fi
+
 if [[ $fail -eq 0 ]]; then
-  echo "check_determinism: OK (repeat, --jobs 1 vs 4, seed sensitivity, scenario runs, baseline runs, ctrlplane runs)"
+  echo "check_determinism: OK (repeat, --jobs 1 vs 4, seed sensitivity, scenario runs, baseline runs, ctrlplane runs, leaf-spine runs)"
 fi
 exit $fail

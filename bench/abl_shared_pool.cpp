@@ -26,7 +26,7 @@ struct Outcome {
   std::int64_t port_b_peak_occupancy = 0;
 };
 
-Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a, std::uint64_t seed) {
+Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a) {
   sim::Simulator sim;
   topo::StarConfig cfg;
   cfg.num_hosts = 8;  // hosts 0,1 receive; 2-7 send
@@ -95,7 +95,6 @@ Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a, std::uint64_
   });
 
   sim.run_until(seconds(std::int64_t{5}));
-  (void)seed;
   for (int q = 0; q < 8; ++q) {
     o.port_a_gbps += meter_a.mean_gbps(q, 2, meter_a.num_windows());
     o.port_b_gbps += meter_b.mean_gbps(q, 2, meter_b.num_windows());
@@ -106,18 +105,19 @@ Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a, std::uint64_
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The runs draw no random numbers, so there is no --seed.
   const harness::Cli cli(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
   const std::int64_t pool_bytes = cli.integer("pool-kb", 120) * 1000;
   const int flows_a = static_cast<int>(cli.integer("flows-a", 32));
+  if (cli.complain_unknown(cli.flag("strict"))) return 2;
 
   std::puts("Ablation — shared switch memory (chip-wide DT) vs per-port DynaQ partition");
   std::printf("(%lldKB total; port A receives %d flows, port B receives 2 flows)\n\n",
               static_cast<long long>(pool_bytes / 1000), flows_a);
 
   harness::Table t({"configuration", "portA_Gbps", "portB_Gbps", "portB_peak_buffer_KB"});
-  const auto shared = run(true, pool_bytes, flows_a, seed);
-  const auto split = run(false, pool_bytes, flows_a, seed);
+  const auto shared = run(true, pool_bytes, flows_a);
+  const auto split = run(false, pool_bytes, flows_a);
   t.row({"shared pool + chip-wide DT", bench::fmt(shared.port_a_gbps),
          bench::fmt(shared.port_b_gbps),
          bench::fmt(static_cast<double>(shared.port_b_peak_occupancy) / 1000.0, 1)});

@@ -4,7 +4,8 @@
 #
 #   1. RelWithDebInfo with -Werror           (the performance configuration)
 #      + trajectory-hash differential gate   (DESIGN.md §10)
-#      + perfbench self-tests                (perfbench/README.md)
+#      + perfbench self-tests and one traced
+#        run per workload                    (perfbench/README.md)
 #   2. Debug with ASan+UBSan, full ctest     (the memory/UB configuration)
 #   3. TSan on the sweep worker pool         (the data-race configuration)
 #   4. Convention + determinism lint (+ clang-tidy when available)
@@ -68,6 +69,11 @@ cmake -S perfbench -B build-ci/perfbench -G Ninja > /dev/null
 cmake --build build-ci/perfbench -j "$jobs" --target perfbench_test
 build-ci/perfbench/perfbench_test
 python3 perfbench/tests/test_run.py
+echo "==> [1/4] perfbench: one short traced run per workload"
+# At full workload size: run.py exits 1 unless the traced run's
+# trajectory_hash equals the untraced run's and the port replays reproduce
+# every admission decision.
+python3 perfbench/run.py --workload all --seconds 3 --trace 1
 
 if [[ $skip_asan -eq 0 ]]; then
   echo "==> [2/4] ASan+UBSan ctest"

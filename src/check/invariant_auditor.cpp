@@ -161,6 +161,8 @@ bool AuditedBufferPolicy::admit(const net::MqState& state, int q, const net::Pac
   pre_admit_thresholds_ = inner_->thresholds();
   pre_admit_valid_ = true;
   const bool admitted = inner_->admit(state, q, p);
+  // Leaves the post-admit thresholds in scratch_, which both checks below
+  // read: nothing can change the thresholds between here and there.
   check_thresholds(state, "admit");
   if (admitted) {
     ++ledger_.admits_allowed;
@@ -168,7 +170,6 @@ bool AuditedBufferPolicy::admit(const net::MqState& state, int q, const net::Pac
       // Threshold-enforced admission (DESIGN.md §4): the arriving queue must
       // fit under its (possibly just-raised) threshold. Victim queues may
       // transiently exceed their reduced T_v; only the arrival is checked.
-      scratch_ = inner_->thresholds();
       if (q >= 0 && static_cast<std::size_t>(q) < scratch_.size() &&
           state.queue(q).bytes + p.size > scratch_[static_cast<std::size_t>(q)]) {
         std::ostringstream os;
@@ -181,7 +182,7 @@ bool AuditedBufferPolicy::admit(const net::MqState& state, int q, const net::Pac
     ++ledger_.admits_rejected;
     // A rejected packet must leave the policy state untouched: the qdisc
     // never calls on_admit_aborted() for it, so any mutation here is drift.
-    if (inner_->thresholds() != pre_admit_thresholds_) {
+    if (scratch_ != pre_admit_thresholds_) {
       report(ViolationKind::kRejectMutatedState, state, "admit", q,
              "admit() returned false but thresholds changed");
     }

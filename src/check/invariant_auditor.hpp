@@ -84,7 +84,7 @@ struct AuditOptions {
   bool throw_on_violation = true;
   std::size_t max_recorded = 1024;
   // Every N audited operations, additionally recompute each queue's byte and
-  // packet totals from the actual packet deques (O(resident) sweep) and
+  // packet totals from the actual packet rings (O(resident) sweep) and
   // compare with the incremental counters. 0 disables the sweep.
   std::uint64_t deep_check_every = 256;
 };
@@ -151,7 +151,8 @@ class AuditedBufferPolicy final : public net::BufferPolicy {
  private:
   void report(ViolationKind kind, const net::MqState& state, const char* where, int queue,
               std::string detail);
-  // ΣT = B (conserving policies) and T_i ≥ 0; reuses snapshot_ as scratch.
+  // ΣT = B (conserving policies) and T_i ≥ 0 on the thresholds it reads
+  // into scratch_, where they stay for the caller.
   void check_thresholds(const net::MqState& state, const char* where);
   // Ledger vs MqState: Σq_i == port_bytes, ledger resident == port state.
   void check_conservation(const net::MqState& state, const char* where);

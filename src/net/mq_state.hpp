@@ -4,16 +4,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <numeric>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/ring.hpp"
 
 namespace dynaq::net {
 
 struct ServiceQueue {
-  std::deque<Packet> packets;
+  Ring<Packet> packets;
   std::int64_t bytes = 0;  // current occupancy
   double weight = 1.0;     // scheduler weight / DRR quantum proportion
 

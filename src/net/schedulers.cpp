@@ -37,7 +37,7 @@ void DrrScheduler::attach(const MqState& state) {
   if (quantum_base_ <= 0) throw std::invalid_argument("DRR quantum must be positive");
   deficits_.assign(static_cast<std::size_t>(state.num_queues()), 0);
   in_list_.assign(static_cast<std::size_t>(state.num_queues()), false);
-  active_.clear();
+  active_ = {};
 }
 
 std::int64_t DrrScheduler::quantum_for(const MqState& state, int q) const {
@@ -101,7 +101,7 @@ void WrrScheduler::attach(const MqState& state) {
   const auto n = static_cast<std::size_t>(state.num_queues());
   slots_left_.assign(n, 0);
   in_list_.assign(n, false);
-  active_.clear();
+  active_ = {};
   compute_slots(state);
 }
 

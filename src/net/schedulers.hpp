@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "net/ring.hpp"
 #include "net/scheduler.hpp"
 
 namespace dynaq::net {
@@ -21,7 +21,7 @@ class FifoScheduler final : public SchedulerPolicy {
   std::string_view name() const override { return "fifo"; }
 
  private:
-  std::deque<int> order_;  // queue index of each buffered packet, in arrival order
+  Ring<int> order_;  // queue index of each buffered packet, in arrival order
 };
 
 // Strict priority: lower queue index = higher priority.
@@ -51,7 +51,7 @@ class DrrScheduler final : public SchedulerPolicy {
   std::int64_t quantum_base_;
   std::vector<std::int64_t> deficits_;
   std::vector<bool> in_list_;
-  std::deque<int> active_;  // round-robin order of backlogged queues
+  Ring<int> active_;  // round-robin order of backlogged queues
 };
 
 // Packet-based weighted round-robin: queue i may send round(w_i / min(w))
@@ -74,7 +74,7 @@ class WrrScheduler final : public SchedulerPolicy {
   std::vector<int> slots_per_round_;
   std::vector<int> slots_left_;
   std::vector<bool> in_list_;
-  std::deque<int> active_;
+  Ring<int> active_;
 };
 
 // One strict high-priority queue (index 0) over an inner scheduler serving

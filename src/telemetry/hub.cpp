@@ -16,11 +16,9 @@ Hub::Hub(sim::Simulator& sim, HubConfig config)
       max_delay_queues_(config.max_delay_queues) {}
 
 int Hub::register_port(const std::string& name) {
-  for (std::size_t i = 0; i < port_names_.size(); ++i) {
-    if (port_names_[i] == name) return static_cast<int>(i);
-  }
-  port_names_.push_back(name);
-  return static_cast<int>(port_names_.size() - 1);
+  const auto [it, added] = port_ids_.try_emplace(name, static_cast<int>(port_names_.size()));
+  if (added) port_names_.push_back(name);
+  return it->second;
 }
 
 void Hub::emit(Event e) {

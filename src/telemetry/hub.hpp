@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,7 +138,8 @@ class Hub {
   bool enabled_;
   bool fingerprint_events_;
   std::uint64_t fingerprint_;
-  std::vector<std::string> port_names_;
+  std::vector<std::string> port_names_;             // by id, in registration order
+  std::map<std::string, int, std::less<>> port_ids_;  // name -> id, for register_port
 
   std::vector<Event> ring_;
   std::size_t ring_head_ = 0;   // next write slot

@@ -7,28 +7,15 @@ namespace dynaq::transport {
 void FlowReceiver::insert_segment(std::uint64_t seq, std::uint64_t end) {
   if (end <= rcv_nxt_) return;  // stale retransmission
   seq = std::max(seq, rcv_nxt_);
-
-  // Merge [seq, end) into the out-of-order interval set.
-  auto it = out_of_order_.lower_bound(seq);
-  if (it != out_of_order_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= seq) {
-      seq = prev->first;
-      end = std::max(end, prev->second);
-      it = out_of_order_.erase(prev);
-    }
+  if (seq == rcv_nxt_ && out_of_order_.empty()) {
+    rcv_nxt_ = end;  // in order with nothing buffered: the common case
+    return;
   }
-  while (it != out_of_order_.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = out_of_order_.erase(it);
-  }
-  out_of_order_[seq] = end;
-
+  out_of_order_.insert(seq, end);
   // Advance the cumulative point across any now-contiguous intervals.
-  auto head = out_of_order_.begin();
-  while (head != out_of_order_.end() && head->first <= rcv_nxt_) {
-    rcv_nxt_ = std::max(rcv_nxt_, head->second);
-    head = out_of_order_.erase(head);
+  while (!out_of_order_.empty() && out_of_order_.front().first <= rcv_nxt_) {
+    rcv_nxt_ = std::max(rcv_nxt_, out_of_order_.front().second);
+    out_of_order_.pop_front();
   }
 }
 

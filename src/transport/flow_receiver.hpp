@@ -7,12 +7,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "transport/flow.hpp"
+#include "transport/interval_list.hpp"
 
 namespace dynaq::transport {
 
@@ -42,7 +42,7 @@ class FlowReceiver {
   net::Host& host_;
   FlowParams params_;
   std::uint64_t rcv_nxt_ = 0;
-  std::map<std::uint64_t, std::uint64_t> out_of_order_;  // start → end
+  IntervalList out_of_order_;  // received ranges above rcv_nxt_
   bool complete_ = false;
   Time completion_time_ = 0;
   std::uint64_t acks_sent_ = 0;

@@ -52,31 +52,12 @@ bool FlowSender::may_send_new_data() const {
 
 void FlowSender::merge_sack_blocks(const net::Packet& ack) {
   for (int i = 0; i < ack.num_sack; ++i) {
-    std::uint64_t start = ack.sack[i].start;
-    std::uint64_t end = ack.sack[i].end;
+    const std::uint64_t start = ack.sack[i].start;
+    const std::uint64_t end = ack.sack[i].end;
     if (end <= snd_una_ || end <= start) continue;
-    start = std::max(start, snd_una_);
-    auto it = sacked_.lower_bound(start);
-    if (it != sacked_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= start) {
-        start = prev->first;
-        end = std::max(end, prev->second);
-        it = sacked_.erase(prev);
-      }
-    }
-    while (it != sacked_.end() && it->first <= end) {
-      end = std::max(end, it->second);
-      it = sacked_.erase(it);
-    }
-    sacked_[start] = end;
+    sacked_.insert(std::max(start, snd_una_), end);
   }
-  // Prune everything at or below the cumulative point.
-  while (!sacked_.empty() && sacked_.begin()->second <= snd_una_) sacked_.erase(sacked_.begin());
-  if (!sacked_.empty() && sacked_.begin()->first < snd_una_) {
-    auto node = sacked_.extract(sacked_.begin());
-    if (node.mapped() > snd_una_) sacked_[snd_una_] = node.mapped();
-  }
+  sacked_.erase_below(snd_una_);  // prune everything at or below the cumulative point
 }
 
 std::int64_t FlowSender::sacked_bytes() const {
@@ -86,7 +67,7 @@ std::int64_t FlowSender::sacked_bytes() const {
 }
 
 std::uint64_t FlowSender::highest_sacked() const {
-  return sacked_.empty() ? snd_una_ : sacked_.rbegin()->second;
+  return sacked_.empty() ? snd_una_ : sacked_.back().second;
 }
 
 std::int64_t FlowSender::unsacked_in(std::uint64_t lo, std::uint64_t hi) const {

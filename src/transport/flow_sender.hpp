@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -15,6 +14,7 @@
 #include "sim/simulator.hpp"
 #include "transport/congestion_control.hpp"
 #include "transport/flow.hpp"
+#include "transport/interval_list.hpp"
 
 namespace dynaq::transport {
 
@@ -57,6 +57,11 @@ class FlowSender {
   // SACK scoreboard introspection (testing).
   std::int64_t sacked_bytes() const;
   std::uint64_t highest_sacked() const;
+  // First unsacked byte at or above max(from, snd_una) below the highest
+  // SACK, if any (RFC 6675 NextSeg's hole scan).
+  std::optional<std::uint64_t> next_hole(std::uint64_t from) const;
+  std::int64_t pipe_bytes() const;
+  std::uint64_t rtx_next() const { return rtx_next_; }
 
   // Invoked once when a finite flow has all bytes acknowledged.
   std::function<void(const FlowSender&)> on_complete;
@@ -73,8 +78,6 @@ class FlowSender {
   // SACK machinery (RFC 6675-style pipe-driven recovery).
   void merge_sack_blocks(const net::Packet& ack);
   std::int64_t unsacked_in(std::uint64_t lo, std::uint64_t hi) const;
-  std::optional<std::uint64_t> next_hole(std::uint64_t from) const;
-  std::int64_t pipe_bytes() const;
   void sack_recovery_send();
 
   // Lazy retransmission timer (at most one live event per RTO period).
@@ -110,7 +113,7 @@ class FlowSender {
   // SACK scoreboard: received intervals above snd_una, and the hole-scan
   // position of the current recovery episode (everything in
   // [snd_una, rtx_next_) that is unsacked has been retransmitted).
-  std::map<std::uint64_t, std::uint64_t> sacked_;
+  IntervalList sacked_;
   std::uint64_t rtx_next_ = 0;
 
   // RTT estimation (RFC 6298).

@@ -1,7 +1,8 @@
 // Unit tests for the net module: packets, ports/links, queue disciplines,
-// schedulers and the multi-queue qdisc plumbing.
+// the ring buffer, schedulers and the multi-queue qdisc plumbing.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "net/packet.hpp"
 #include "net/port.hpp"
 #include "net/queue_disc.hpp"
+#include "net/ring.hpp"
 #include "net/schedulers.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/hub.hpp"
@@ -163,6 +165,129 @@ TEST(Switch, NegativeRouteCountsAsRoutingDrop) {
   sw.set_router([](const net::Packet&) { return -1; });
   sw.forward(data_pkt(0));
   EXPECT_EQ(sw.routing_drops(), 1u);
+}
+
+// --------------------------------------------------------------- Ring --
+
+std::vector<int> contents(const net::Ring<int>& r) { return {r.begin(), r.end()}; }
+
+TEST(Ring, FifoOrderAcrossWrapAndGrowth) {
+  // A deque as the reference; the push/pop mix walks the head around the
+  // array many times and grows it while the head sits mid-array.
+  net::Ring<int> r;
+  std::deque<int> ref;
+  int next = 0;
+  for (int step = 0; step < 2'000; ++step) {
+    const int pushes = step % 7 == 0 ? 5 : 1;
+    for (int i = 0; i < pushes; ++i) {
+      r.push_back(next);
+      ref.push_back(next++);
+    }
+    if (step % 3 != 0) {
+      ASSERT_EQ(r.front(), ref.front());
+      r.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(r.size(), ref.size());
+    ASSERT_EQ(r.front(), ref.front());
+    ASSERT_EQ(r.back(), ref.back());
+  }
+  EXPECT_EQ(contents(r), std::vector<int>(ref.begin(), ref.end()));
+  EXPECT_GE(r.capacity(), r.size());
+  EXPECT_EQ(r.capacity() & (r.capacity() - 1), 0u) << "capacity is a power of two";
+  while (!ref.empty()) {
+    ASSERT_EQ(r.front(), ref.front());
+    r.pop_front();
+    ref.pop_front();
+  }
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, PopBackThenPushBack) {
+  net::Ring<int> r;
+  for (int i = 1; i <= 5; ++i) r.push_back(i);
+  r.pop_back();  // eviction takes the tail
+  r.pop_back();
+  EXPECT_EQ(r.back(), 3);
+  r.push_back(9);
+  EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3, 9}));
+  r.pop_front();
+  r.pop_back();
+  EXPECT_EQ(contents(r), (std::vector<int>{2, 3}));
+}
+
+TEST(Ring, IteratesFromTheHead) {
+  net::Ring<int> r;
+  r.push_back(0);
+  const int cap = static_cast<int>(r.capacity());
+  for (int i = 1; i < cap; ++i) r.push_back(i);
+  for (int i = 0; i < cap - 2; ++i) r.pop_front();
+  for (int i = cap; i < cap + 4; ++i) r.push_back(i);  // wraps without growing
+  EXPECT_EQ(r.capacity(), static_cast<std::size_t>(cap));
+  std::vector<int> want;
+  for (int v = cap - 2; v < cap + 4; ++v) want.push_back(v);
+  EXPECT_EQ(contents(r), want);
+  auto it = r.begin();
+  EXPECT_EQ(*it++, cap - 2);
+  EXPECT_EQ(*it, cap - 1);
+}
+
+TEST(Ring, CopyIsIndependentOfItsSource) {
+  net::Ring<int> src;
+  for (int i = 0; i < 10; ++i) src.push_back(i);
+  for (int i = 0; i < 4; ++i) src.pop_front();
+  net::Ring<int> copy(src);
+  src.pop_front();
+  src.push_back(100);
+  copy.push_back(-1);
+  EXPECT_EQ(contents(copy), (std::vector<int>{4, 5, 6, 7, 8, 9, -1}));
+  EXPECT_EQ(contents(src), (std::vector<int>{5, 6, 7, 8, 9, 100}));
+
+  net::Ring<int> assigned;
+  assigned.push_back(42);
+  assigned = src;
+  src.pop_back();
+  EXPECT_EQ(contents(assigned), (std::vector<int>{5, 6, 7, 8, 9, 100}));
+  EXPECT_EQ(contents(src), (std::vector<int>{5, 6, 7, 8, 9}));
+}
+
+TEST(Ring, PushBackOfOwnFrontAcrossGrowth) {
+  // The grow path must read the new element before it frees the old array.
+  net::Ring<net::Packet> r;
+  r.push_back(data_pkt(0, 100));
+  const int cap = static_cast<int>(r.capacity());
+  for (int i = 1; i <= cap; ++i) {
+    if (i == cap) r.pop_front();
+    r.push_back(data_pkt(i % 8, 100 + i));
+  }
+  ASSERT_EQ(r.size(), r.capacity()) << "full, head one slot in";
+  r.push_back(r.front());
+  EXPECT_EQ(r.size(), static_cast<std::size_t>(cap) + 1);
+  EXPECT_EQ(r.front().payload, 101);
+  EXPECT_EQ(r.back().payload, 101);
+  EXPECT_EQ(r.back().queue, 1);
+  std::vector<int> payloads;
+  for (const net::Packet& p : r) payloads.push_back(p.payload);
+  std::vector<int> want;
+  for (int i = 1; i <= cap; ++i) want.push_back(100 + i);
+  want.push_back(101);
+  EXPECT_EQ(payloads, want);
+}
+
+TEST(Ring, DefaultConstructedAllocatesNothing) {
+  net::Ring<net::Packet> r;
+  EXPECT_EQ(r.capacity(), 0u);
+  EXPECT_TRUE(r.empty());
+  EXPECT_TRUE(r.begin() == r.end());
+  const net::Ring<net::Packet> copy(r);
+  EXPECT_EQ(copy.capacity(), 0u);
+  // The first push allocates; draining keeps the array for the next burst.
+  r.push_back(data_pkt(0));
+  const std::size_t cap = r.capacity();
+  EXPECT_GT(cap, 0u);
+  r.pop_front();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), cap);
 }
 
 // --------------------------------------------------------- Schedulers --

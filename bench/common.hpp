@@ -120,8 +120,6 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // failed jobs on stderr in job order, and writes the machine-readable JSON:
 //
 //   --jobs N        worker threads (default: hardware concurrency)
-//   --timeout-s S   per-job wall-clock budget (default: none)
-//   --retry         retry a failed/timed-out job once
 //   --strict        exit non-zero on job failures or unrecognized flags
 //   --json DIR      write <DIR>/<name>.json (sweep results schema)
 //   --bench-json P  additionally write the JSON to exactly P (perf trajectory)
@@ -137,8 +135,6 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
                           const sweep::JobFn& fn) {
   sweep::RunnerOptions options;
   options.jobs = static_cast<int>(cli.integer("jobs", 0));
-  options.timeout_s = cli.real("timeout-s", 0.0);
-  options.retry_failed_once = cli.flag("retry");
   const bool strict = cli.flag("strict");
   const std::string json_dir = cli.text("json", "");
   const std::string bench_json = cli.text("bench-json", "");
@@ -148,8 +144,8 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
   auto store = runner.run(std::move(name), spec, fn);
   for (const auto& o : store.outcomes()) {
     if (!o.ok) {
-      std::fprintf(stderr, "sweep job %zu failed [%s] after %d attempt(s): %s\n",
-                   o.point.job_id, o.point.name().c_str(), o.attempts, o.error.c_str());
+      std::fprintf(stderr, "sweep job %zu failed [%s]: %s\n", o.point.job_id,
+                   o.point.name().c_str(), o.error.c_str());
     }
   }
   if (!json_dir.empty()) {

@@ -57,7 +57,7 @@ inline std::map<std::string, double> fct_metrics(const harness::DynamicExperimen
 // byte for byte.
 inline FctResults fct_results_from_store(const sweep::ResultStore& store) {
   FctResults results;
-  for (const auto& row : store.aggregate("seed")) {
+  for (const auto& row : store.aggregate()) {
     if (row.replicas == 0) continue;  // every replica failed; printers show n/a
     stats::FctSummary s;
     const auto metric = [&row](const char* name) { return row_mean(row, name); };

@@ -12,7 +12,7 @@ using namespace dynaq;
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const bool full = cli.flag("full");
-  const auto duration = seconds(cli.integer("seconds", full ? 60 : 10));
+  const auto duration = seconds(cli.natural("seconds", full ? 60 : 10));
 
   harness::StaticExperimentConfig cfg;
   cfg.star = bench::testbed_star(core::SchemeKind::kBestEffort, /*num_hosts=*/5);
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cfg.meter_window = milliseconds(std::int64_t{500});
   cfg.queue_samples = 1000;
   cfg.queue_sample_skip = full ? 2'000'000 : 400'000;
-  cfg.seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
+  cfg.seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   std::puts("Figure 1 — violated fair sharing with the best-effort shared buffer");
   std::puts("(4 senders: queue1 <- 8 flows from 1 host, queue2 <- 24 flows from 3 hosts)\n");

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   // Default compresses the paper's 10/15/20/25 s schedule to 4/6/8/10 s —
   // same phases, shorter steady-state stretches.
   const double scale = full ? 1.0 : 0.4;
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
+  const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   std::puts("Figure 5 — bandwidth sharing, 4 DRR queues, equal weights, queue i has 2^i flows");
   std::printf("(queue4 stops at %.0fs, queue3 at %.0fs, queue2 at %.0fs, end at %.0fs)\n\n",

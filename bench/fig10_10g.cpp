@@ -8,7 +8,7 @@ using namespace dynaq;
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
+  const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const bool series = cli.flag("series");
   const auto csv_dir = cli.text("csv", "");  // print full per-window series
 

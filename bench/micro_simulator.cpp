@@ -26,7 +26,7 @@
 #include "net/packet.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sweep/json.hpp"
+#include "json/json.hpp"
 
 using namespace dynaq;
 
@@ -166,33 +166,25 @@ struct Row {
   double budget_ns;
 };
 
-void json_row(sweep::JsonWriter& w, const Row& r) {
-  w.key(r.name);
-  w.begin_object();
-  w.key("ns_per_event");
-  w.value(r.m.ns_per_event);
-  w.key("events_per_sec");
-  w.value(1e9 / r.m.ns_per_event);
-  w.key("heap_fallbacks");
-  w.value(static_cast<std::int64_t>(r.m.heap_fallbacks));
+json::Value json_row(const Row& r) {
+  json::Value w;
+  w.set("ns_per_event", r.m.ns_per_event)
+      .set("events_per_sec", 1e9 / r.m.ns_per_event)
+      .set("heap_fallbacks", r.m.heap_fallbacks);
   if (r.baseline_ns > 0) {
-    w.key("baseline_ns_per_event");
-    w.value(r.baseline_ns);
-    w.key("speedup");
-    w.value(r.baseline_ns / r.m.ns_per_event);
+    w.set("baseline_ns_per_event", r.baseline_ns).set("speedup", r.baseline_ns / r.m.ns_per_event);
   }
-  w.key("budget_ns_per_event");
-  w.value(r.budget_ns);
-  w.end_object();
+  w.set("budget_ns_per_event", r.budget_ns);
+  return w;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const long events = cli.integer("events", 400'000);
-  const long fanout_width = cli.integer("fanout-width", 100'000);
-  const int reps = static_cast<int>(cli.integer("reps", 5));
+  const long events = cli.natural("events", 400'000);
+  const long fanout_width = cli.natural("fanout-width", 100'000);
+  const int reps = static_cast<int>(cli.natural("reps", 5));
   const bool assert_budget = cli.flag("assert-budget");
   const std::string json_path = cli.text("json", "");
 
@@ -224,23 +216,16 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    sweep::JsonWriter w;
-    w.begin_object();
-    w.key("schema");
-    w.value("dynaq-bench-core-v1");
-    w.key("events_per_pass");
-    w.value(static_cast<std::int64_t>(events));
-    w.key("reps");
-    w.value(reps);
-    w.key("baseline");
-    w.value("binary-heap std::function engine (commit c1754d0), best of 5");
-    w.key("workloads");
-    w.begin_object();
-    for (const Row& r : rows) json_row(w, r);
-    w.end_object();
-    w.end_object();
+    json::Value workloads;
+    for (const Row& r : rows) workloads.set(r.name, json_row(r));
+    json::Value doc;
+    doc.set("schema", "dynaq-bench-core-v1")
+        .set("events_per_pass", events)
+        .set("reps", reps)
+        .set("baseline", "binary-heap std::function engine (commit c1754d0), best of 5")
+        .set("workloads", std::move(workloads));
     std::ofstream out(json_path);
-    out << w.take() << "\n";
+    out << doc.dump() << "\n";
     if (!out) {
       std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
       return 1;

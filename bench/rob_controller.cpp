@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   harness::Table t({"scheme", "pre_gbps", "fault_gbps", "recov_gbps", "retention",
                     "failovers", "recovery_us", "actions"});
   std::vector<std::vector<double>> csv_rows;
-  for (const auto& row : run.store.aggregate("seed")) {
+  for (const auto& row : run.store.aggregate()) {
     const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("pre_gbps")),
            bench::fmt(metric("fault_gbps")), bench::fmt(metric("recovered_gbps")),

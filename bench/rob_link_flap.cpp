@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   harness::Table t({"scheme", "pre_gbps", "flap_gbps", "recov_gbps", "timeouts", "retx",
                     "actions"});
-  for (const auto& row : run.store.aggregate("seed")) {
+  for (const auto& row : run.store.aggregate()) {
     const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("pre_gbps")),
            bench::fmt(metric("flap_gbps")), bench::fmt(metric("recovered_gbps")),

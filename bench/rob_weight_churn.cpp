@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                               });
 
   harness::Table t({"scheme", "agg_gbps", "jain", "drops", "retx", "actions"});
-  for (const auto& row : run.store.aggregate("seed")) {
+  for (const auto& row : run.store.aggregate()) {
     const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("agg_gbps")),
            bench::fmt(metric("jain")), bench::fmt(metric("drops"), 0),

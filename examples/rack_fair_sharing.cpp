@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   const auto weights = cli.reals("weights", {1, 1, 1, 1});
   const auto flows = cli.reals("flows", {2, 4, 8, 16});
   const double rate_gbps = cli.real("rate-gbps", 1.0);
-  const auto buffer_kb = cli.integer("buffer-kb", 85);
-  const auto duration = seconds(cli.integer("seconds", 5));
+  const auto buffer_kb = cli.natural("buffer-kb", 85);
+  const auto duration = seconds(cli.natural("seconds", 5));
 
   if (weights.size() != flows.size()) {
     std::fprintf(stderr, "--weights and --flows must have the same length\n");
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   }
   cfg.duration = duration;
   cfg.meter_window = milliseconds(std::int64_t{500});
-  cfg.seed = static_cast<std::uint64_t>(cli.integer("seed", 1));
+  cfg.seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   std::printf("scheme=%s  rate=%.1fG  buffer=%lldKB  queues=%d\n\n",
               std::string(core::scheme_name(scheme)).c_str(), rate_gbps,

@@ -1,16 +1,40 @@
-#include "report/json.hpp"
+#include "json/json.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
-namespace dynaq::report {
+namespace dynaq::json {
 namespace {
+
+void escape_to(std::string& out, const std::string& s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
 
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Json parse_document() {
-    Json v = parse_value();
+  Value parse_document() {
+    Value v = parse_value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return v;
@@ -56,33 +80,34 @@ class Parser {
     return true;
   }
 
-  Json parse_value() {
+  Value parse_value() {
     switch (peek()) {
       case '{': return parse_object();
       case '[': return parse_array();
-      case '"': return Json(parse_string());
+      case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
-        return Json(true);
+        return Value(true);
       case 'f':
         if (!consume_literal("false")) fail("bad literal");
-        return Json(false);
+        return Value(false);
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
-        return Json();
+        return Value();
       default: return parse_number();
     }
   }
 
-  Json parse_object() {
+  Value parse_object() {
     expect('{');
-    Json::Object members;
+    Value::Object members;
     if (peek() == '}') {
       ++pos_;
-      return Json(std::move(members));
+      return Value(std::move(members));
     }
     while (true) {
-      std::string key = parse_string_at('"');
+      if (peek() != '"') fail("expected string");
+      std::string key = parse_string();
       expect(':');
       members.emplace_back(std::move(key), parse_value());
       const char c = peek();
@@ -92,18 +117,18 @@ class Parser {
       }
       if (c == '}') {
         ++pos_;
-        return Json(std::move(members));
+        return Value(std::move(members));
       }
       fail("expected ',' or '}' in object");
     }
   }
 
-  Json parse_array() {
+  Value parse_array() {
     expect('[');
-    Json::Array elements;
+    Value::Array elements;
     if (peek() == ']') {
       ++pos_;
-      return Json(std::move(elements));
+      return Value(std::move(elements));
     }
     while (true) {
       elements.push_back(parse_value());
@@ -114,15 +139,10 @@ class Parser {
       }
       if (c == ']') {
         ++pos_;
-        return Json(std::move(elements));
+        return Value(std::move(elements));
       }
       fail("expected ',' or ']' in array");
     }
-  }
-
-  std::string parse_string_at(char quote) {
-    if (peek() != quote) fail("expected string");
-    return parse_string();
   }
 
   std::string parse_string() {
@@ -183,7 +203,7 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  Value parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
     bool saw_digit = false;
@@ -201,7 +221,7 @@ class Parser {
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
-    return Json(d);
+    return Value(d);
   }
 
   std::string_view text_;
@@ -210,10 +230,107 @@ class Parser {
 
 }  // namespace
 
-Json parse_json(std::string_view text) { return Parser(text).parse_document(); }
+Value& Value::set(std::string key, Value v) {
+  if (is_null()) type_ = Type::kObject;
+  if (!is_object()) throw std::logic_error("json::Value::set on a non-object");
+  for (auto& [k, existing] : object_) {
+    if (k == key) {
+      existing = std::move(v);
+      return *this;
+    }
+  }
+  object_.emplace_back(std::move(key), std::move(v));
+  return *this;
+}
 
-std::vector<Json> parse_jsonl(std::string_view text) {
-  std::vector<Json> docs;
+Value& Value::push(Value v) {
+  if (is_null()) type_ = Type::kArray;
+  if (!is_array()) throw std::logic_error("json::Value::push on a non-array");
+  array_.push_back(std::move(v));
+  return *this;
+}
+
+const Value* Value::find(std::string_view key) const {
+  if (!is_object()) return nullptr;
+  for (const auto& [k, v] : object_) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+double Value::number_or(std::string_view key, double fallback) const {
+  const Value* v = find(key);
+  return v != nullptr && v->is_number() ? v->number_ : fallback;
+}
+
+std::int64_t Value::integer_or(std::string_view key, std::int64_t fallback) const {
+  const Value* v = find(key);
+  // Casting a double beyond int64 (a parsed 1e300, say) is undefined.
+  const bool fits = v != nullptr && v->is_number() && std::fabs(v->number_) < 9.2e18;
+  return fits ? static_cast<std::int64_t>(v->number_) : fallback;
+}
+
+std::string Value::string_or(std::string_view key, std::string fallback) const {
+  const Value* v = find(key);
+  return v != nullptr && v->is_string() ? v->string_ : std::move(fallback);
+}
+
+bool Value::bool_or(std::string_view key, bool fallback) const {
+  const Value* v = find(key);
+  return v != nullptr && v->is_bool() ? v->bool_ : fallback;
+}
+
+std::string format_number(double d) {
+  // Every integer within ±2^53 is exact in a double, so it prints exactly.
+  // The range check comes first: casting NaN, or a double beyond the range
+  // of int64, is undefined behaviour.
+  constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+  if (d >= -kExactIntegers && d <= kExactIntegers &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
+    return std::to_string(static_cast<std::int64_t>(d));
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.12g", d);
+  return buf;
+}
+
+std::string Value::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Value::dump_to(std::string& out) const {
+  switch (type_) {
+    case Type::kNull: out += "null"; break;
+    case Type::kBool: out += bool_ ? "true" : "false"; break;
+    case Type::kNumber: out += format_number(number_); break;
+    case Type::kString: escape_to(out, string_); break;
+    case Type::kArray:
+      out += '[';
+      for (std::size_t i = 0; i < array_.size(); ++i) {
+        if (i > 0) out += ',';
+        array_[i].dump_to(out);
+      }
+      out += ']';
+      break;
+    case Type::kObject:
+      out += '{';
+      for (std::size_t i = 0; i < object_.size(); ++i) {
+        if (i > 0) out += ',';
+        escape_to(out, object_[i].first);
+        out += ':';
+        object_[i].second.dump_to(out);
+      }
+      out += '}';
+      break;
+  }
+}
+
+Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+Value parse_lines(std::string_view text) {
+  Value docs = Value::array();
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -221,19 +338,11 @@ std::vector<Json> parse_jsonl(std::string_view text) {
     if (nl == std::string_view::npos) nl = text.size();
     const std::string_view line = text.substr(pos, nl - pos);
     ++line_no;
-    bool blank = true;
-    for (const char c : line) {
-      if (c != ' ' && c != '\t' && c != '\r') {
-        blank = false;
-        break;
-      }
-    }
-    if (!blank) {
+    if (line.find_first_not_of(" \t\r") != std::string_view::npos) {
       try {
-        docs.push_back(parse_json(line));
+        docs.push(parse(line));
       } catch (const ParseError& e) {
-        throw ParseError(std::string("JSONL line ") + std::to_string(line_no) + ": " + e.what(),
-                         line_no, e.column());
+        throw ParseError(e.message(), line_no, e.column());
       }
     }
     if (nl == text.size()) break;
@@ -242,4 +351,4 @@ std::vector<Json> parse_jsonl(std::string_view text) {
   return docs;
 }
 
-}  // namespace dynaq::report
+}  // namespace dynaq::json

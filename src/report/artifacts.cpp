@@ -5,10 +5,10 @@
 namespace dynaq::report {
 namespace {
 
-SweepJob load_job(const Json& j) {
+SweepJob load_job(const json::Value& j) {
   SweepJob job;
   job.id = j.integer_or("id", 0);
-  if (const Json* point = j.find("point"); point != nullptr && point->is_object()) {
+  if (const json::Value* point = j.find("point"); point != nullptr && point->is_object()) {
     for (const auto& [axis, value] : point->as_object()) {
       if (value.is_string()) {
         job.labels[axis] = value.as_string();
@@ -18,9 +18,8 @@ SweepJob load_job(const Json& j) {
     }
   }
   job.ok = j.bool_or("ok", false);
-  job.timed_out = j.bool_or("timed_out", false);
   job.error = j.string_or("error", "");
-  if (const Json* metrics = j.find("metrics"); metrics != nullptr && metrics->is_object()) {
+  if (const json::Value* metrics = j.find("metrics"); metrics != nullptr && metrics->is_object()) {
     for (const auto& [name, value] : metrics->as_object()) {
       if (value.is_number()) job.metrics[name] = value.as_number();
     }
@@ -48,16 +47,16 @@ std::vector<std::string> SweepDoc::label_values(const std::string& axis) const {
   return out;
 }
 
-bool looks_like_sweep_doc(const Json& root) {
+bool looks_like_sweep_doc(const json::Value& root) {
   if (!root.is_object()) return false;
-  const Json* version = root.find("schema_version");
-  const Json* sweep = root.find("sweep");
-  const Json* jobs = root.find("jobs");
+  const json::Value* version = root.find("schema_version");
+  const json::Value* sweep = root.find("sweep");
+  const json::Value* jobs = root.find("jobs");
   return version != nullptr && version->is_number() && sweep != nullptr && sweep->is_string() &&
          jobs != nullptr && jobs->is_array();
 }
 
-SweepDoc load_sweep_doc(const Json& root, std::string path) {
+SweepDoc load_sweep_doc(const json::Value& root, std::string path) {
   if (!looks_like_sweep_doc(root)) {
     throw std::runtime_error(path + ": not a sweep results document (schema_version/sweep/jobs)");
   }
@@ -65,25 +64,25 @@ SweepDoc load_sweep_doc(const Json& root, std::string path) {
   doc.path = std::move(path);
   doc.schema_version = root.integer_or("schema_version", 0);
   doc.sweep = root.string_or("sweep", "");
-  for (const Json& j : root.find("jobs")->as_array()) doc.jobs.push_back(load_job(j));
+  for (const json::Value& j : root.find("jobs")->as_array()) doc.jobs.push_back(load_job(j));
   doc.failures = root.integer_or("failures", 0);
-  if (const Json* perf = root.find("perf"); perf != nullptr && perf->is_object()) {
+  if (const json::Value* perf = root.find("perf"); perf != nullptr && perf->is_object()) {
     doc.total_wall_ms = perf->number_or("total_wall_ms", 0.0);
     doc.perf_jobs = perf->integer_or("jobs", 0);
   }
   return doc;
 }
 
-bool looks_like_bench_core_doc(const Json& root) {
+bool looks_like_bench_core_doc(const json::Value& root) {
   if (!root.is_object()) return false;
-  const Json* schema = root.find("schema");
-  const Json* workloads = root.find("workloads");
+  const json::Value* schema = root.find("schema");
+  const json::Value* workloads = root.find("workloads");
   return schema != nullptr && schema->is_string() &&
          schema->as_string().rfind("dynaq-bench-core-", 0) == 0 && workloads != nullptr &&
          workloads->is_object();
 }
 
-BenchCoreDoc load_bench_core_doc(const Json& root, std::string path) {
+BenchCoreDoc load_bench_core_doc(const json::Value& root, std::string path) {
   if (!looks_like_bench_core_doc(root)) {
     throw std::runtime_error(path + ": not a BENCH_core.json document (dynaq-bench-core-*)");
   }
@@ -99,10 +98,11 @@ BenchCoreDoc load_bench_core_doc(const Json& root, std::string path) {
     workload.ns_per_event = w.number_or("ns_per_event", 0.0);
     workload.events_per_sec = w.number_or("events_per_sec", 0.0);
     workload.heap_fallbacks = w.integer_or("heap_fallbacks", 0);
-    if (const Json* budget = w.find("budget_ns_per_event"); budget != nullptr && budget->is_number()) {
+    if (const json::Value* budget = w.find("budget_ns_per_event");
+        budget != nullptr && budget->is_number()) {
       workload.budget_ns_per_event = budget->as_number();
     }
-    if (const Json* baseline = w.find("baseline_ns_per_event");
+    if (const json::Value* baseline = w.find("baseline_ns_per_event");
         baseline != nullptr && baseline->is_number()) {
       workload.baseline_ns_per_event = baseline->as_number();
     }

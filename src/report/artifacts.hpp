@@ -1,9 +1,9 @@
 // Typed views over the repo's machine-readable artifacts (DESIGN.md §13):
 // sweep results JSON (schema_version >= 2, DESIGN.md §7) and the
 // BENCH_core.json event-engine snapshot (DESIGN.md §9). Loaders copy what
-// the report needs out of the parsed Json so documents can be dropped after
-// loading; unknown fields are ignored (forward-compatible), missing
-// optional fields default.
+// the report needs out of the parsed json::Value so documents can be
+// dropped after loading; unknown fields are ignored (forward-compatible),
+// missing optional fields default.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "report/json.hpp"
+#include "json/json.hpp"
 
 namespace dynaq::report {
 
@@ -23,7 +23,6 @@ struct SweepJob {
   std::map<std::string, std::string> labels;
   std::map<std::string, double> numbers;
   bool ok = false;
-  bool timed_out = false;
   std::string error;
   std::map<std::string, double> metrics;
   std::string trajectory_hash;
@@ -46,11 +45,11 @@ struct SweepDoc {
 // True when the document has the sweep-results shape (schema_version +
 // sweep + jobs) — used to skip events.jsonl and foreign JSON when scanning
 // a results directory.
-bool looks_like_sweep_doc(const Json& root);
+bool looks_like_sweep_doc(const json::Value& root);
 
 // Throws std::runtime_error (with the path) on a structurally unusable
 // document; tolerates missing optional blocks.
-SweepDoc load_sweep_doc(const Json& root, std::string path);
+SweepDoc load_sweep_doc(const json::Value& root, std::string path);
 
 // One workload row of BENCH_core.json (schema dynaq-bench-core-v1).
 struct BenchWorkload {
@@ -70,7 +69,7 @@ struct BenchCoreDoc {
   std::vector<BenchWorkload> workloads;  // JSON object order
 };
 
-bool looks_like_bench_core_doc(const Json& root);
-BenchCoreDoc load_bench_core_doc(const Json& root, std::string path);
+bool looks_like_bench_core_doc(const json::Value& root);
+BenchCoreDoc load_bench_core_doc(const json::Value& root, std::string path);
 
 }  // namespace dynaq::report

@@ -1,32 +1,8 @@
 #include "report/bench_history.hpp"
 
-#include <cstdio>
+#include "json/json.hpp"
 
 namespace dynaq::report {
-namespace {
-
-// Matches sweep::JsonWriter::format_number so history rows round-trip the
-// snapshot values byte-identically.
-std::string number(double d) {
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) && d >= -1e15 && d <= 1e15) {
-    return std::to_string(static_cast<std::int64_t>(d));
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", d);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 HistoryRow make_history_row(const std::string& rev, const BenchCoreDoc* core,
                             const SweepDoc* sweep) {
@@ -46,26 +22,27 @@ HistoryRow make_history_row(const std::string& rev, const BenchCoreDoc* core,
 
 std::vector<HistoryRow> parse_history(std::string_view jsonl) {
   std::vector<HistoryRow> rows;
-  for (const Json& doc : parse_jsonl(jsonl)) {
+  const json::Value docs = json::parse_lines(jsonl);
+  for (const json::Value& doc : docs.as_array()) {
     HistoryRow row;
     row.schema = doc.string_or("schema", "");
     row.rev = doc.string_or("rev", "unknown");
     row.seq = doc.integer_or("seq", static_cast<std::int64_t>(rows.size()) + 1);
-    if (const Json* core = doc.find("core"); core != nullptr && core->is_object()) {
+    if (const json::Value* core = doc.find("core"); core != nullptr && core->is_object()) {
       for (const auto& [name, w] : core->as_object()) {
         if (!w.is_object()) continue;
         BenchWorkload workload;
         workload.name = name;
         workload.ns_per_event = w.number_or("ns_per_event", 0.0);
         workload.heap_fallbacks = w.integer_or("heap_fallbacks", 0);
-        if (const Json* budget = w.find("budget_ns_per_event");
+        if (const json::Value* budget = w.find("budget_ns_per_event");
             budget != nullptr && budget->is_number()) {
           workload.budget_ns_per_event = budget->as_number();
         }
         row.core.push_back(std::move(workload));
       }
     }
-    if (const Json* sweep = doc.find("sweep"); sweep != nullptr && sweep->is_object()) {
+    if (const json::Value* sweep = doc.find("sweep"); sweep != nullptr && sweep->is_object()) {
       HistoryRow::SweepPerf perf;
       perf.sweep = sweep->string_or("name", "");
       perf.jobs = sweep->integer_or("jobs", 0);
@@ -79,31 +56,26 @@ std::vector<HistoryRow> parse_history(std::string_view jsonl) {
 }
 
 std::string render_history_row(const HistoryRow& row) {
-  std::string out = "{\"schema\":" + quoted(row.schema) + ",\"rev\":" + quoted(row.rev) +
-                    ",\"seq\":" + std::to_string(row.seq);
+  json::Value out;
+  out.set("schema", row.schema).set("rev", row.rev).set("seq", row.seq);
   if (!row.core.empty()) {
-    out += ",\"core\":{";
-    bool first = true;
+    json::Value core;
     for (const BenchWorkload& w : row.core) {
-      if (!first) out += ',';
-      first = false;
-      out += quoted(w.name) + ":{\"ns_per_event\":" + number(w.ns_per_event) +
-             ",\"heap_fallbacks\":" + std::to_string(w.heap_fallbacks);
-      if (w.budget_ns_per_event) {
-        out += ",\"budget_ns_per_event\":" + number(*w.budget_ns_per_event);
-      }
-      out += '}';
+      json::Value workload;
+      workload.set("ns_per_event", w.ns_per_event).set("heap_fallbacks", w.heap_fallbacks);
+      if (w.budget_ns_per_event) workload.set("budget_ns_per_event", *w.budget_ns_per_event);
+      core.set(w.name, std::move(workload));
     }
-    out += '}';
+    out.set("core", std::move(core));
   }
   if (row.sweep) {
-    out += ",\"sweep\":{\"name\":" + quoted(row.sweep->sweep) +
-           ",\"jobs\":" + std::to_string(row.sweep->jobs) +
-           ",\"failures\":" + std::to_string(row.sweep->failures) +
-           ",\"total_wall_ms\":" + number(row.sweep->total_wall_ms) + '}';
+    out.set("sweep", json::Value()
+                         .set("name", row.sweep->sweep)
+                         .set("jobs", row.sweep->jobs)
+                         .set("failures", row.sweep->failures)
+                         .set("total_wall_ms", row.sweep->total_wall_ms));
   }
-  out += '}';
-  return out;
+  return out.dump();
 }
 
 std::string append_history(const std::string& existing_jsonl, HistoryRow row) {
@@ -134,9 +106,10 @@ std::vector<std::string> history_regressions(const std::vector<HistoryRow>& rows
                          " heap fallbacks (hard gate: the event hot path must not allocate)");
     }
     if (w.budget_ns_per_event && w.ns_per_event > *w.budget_ns_per_event) {
-      findings.push_back("bench.ns_budget: " + w.name + " at " + number(w.ns_per_event) +
+      findings.push_back("bench.ns_budget: " + w.name + " at " +
+                         json::format_number(w.ns_per_event) +
                          " ns/event exceeds its soft budget of " +
-                         number(*w.budget_ns_per_event));
+                         json::format_number(*w.budget_ns_per_event));
     }
   }
   if (latest.sweep && latest.sweep->failures != 0) {

@@ -234,8 +234,7 @@ class Evaluator {
         if (job.ok) continue;
         ++bad;
         if (failures_.empty()) {
-          failures_ = doc->sweep + " job " + std::to_string(job.id) +
-                      (job.timed_out ? " timed out" : " failed: " + job.error);
+          failures_ = doc->sweep + " job " + std::to_string(job.id) + " failed: " + job.error;
         }
       }
       if (doc->failures > 0 && failures_.empty()) {

@@ -4,10 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <set>
 
+#include "json/json.hpp"
 #include "stats/percentile.hpp"
-#include "sweep/json.hpp"
 
 namespace dynaq::sweep {
 namespace {
@@ -24,86 +23,57 @@ double t975(std::size_t df) {
   return df <= std::size(kTable) ? kTable[df - 1] : 1.960;
 }
 
-void write_axis_value(JsonWriter& json, const AxisValue& v) {
-  if (v.numeric) {
-    json.value(v.number);
-  } else {
-    json.value(v.label);
-  }
+json::Value axis_value(const AxisValue& v) {
+  return v.numeric ? json::Value(v.number) : json::Value(v.label);
 }
 
-void write_point(JsonWriter& json,
-                 const std::vector<std::pair<std::string, AxisValue>>& coords) {
-  json.begin_object();
-  for (const auto& [axis, value] : coords) {
-    json.key(axis);
-    write_axis_value(json, value);
-  }
-  json.end_object();
+json::Value point_json(const std::vector<std::pair<std::string, AxisValue>>& coords) {
+  json::Value point = json::Value::object();
+  for (const auto& [axis, value] : coords) point.set(axis, axis_value(value));
+  return point;
 }
 
-void write_telemetry(JsonWriter& json, const telemetry::TelemetrySummary& t) {
-  json.begin_object();
-  json.key("drops");
-  json.begin_object();
+json::Value telemetry_json(const telemetry::TelemetrySummary& t) {
+  json::Value drops = json::Value::object();
   for (std::size_t r = 0; r < telemetry::kNumDropReasons; ++r) {
-    json.key(std::string(telemetry::drop_reason_name(static_cast<telemetry::DropReason>(r))));
-    json.value(t.drops_by_reason[r]);
+    drops.set(std::string(telemetry::drop_reason_name(static_cast<telemetry::DropReason>(r))),
+              t.drops_by_reason[r]);
   }
-  json.end_object();
-  json.key("enqueues");
-  json.value(t.enqueues);
-  json.key("evictions");
-  json.value(t.evictions);
-  json.key("threshold_exchanges");
-  json.value(t.threshold_exchanges);
-  json.key("exchanged_bytes");
-  json.value(t.exchanged_bytes);
-  json.key("ecn_marks");
-  json.value(t.ecn_marks);
-  json.key("scenario_actions");
-  json.value(t.scenario_actions);
+  json::Value out;
+  out.set("drops", std::move(drops))
+      .set("enqueues", t.enqueues)
+      .set("evictions", t.evictions)
+      .set("threshold_exchanges", t.threshold_exchanges)
+      .set("exchanged_bytes", t.exchanged_bytes)
+      .set("ecn_marks", t.ecn_marks)
+      .set("scenario_actions", t.scenario_actions);
   if (t.control.any()) {
     // Control-plane block (DESIGN.md §14), present only when a
     // ctrlplane::ControlPlanePolicy actually emitted events this run.
-    json.key("control");
-    json.begin_object();
-    json.key("updates");
-    json.value(t.control.updates);
-    json.key("updates_lost");
-    json.value(t.control.updates_lost);
-    json.key("failovers");
-    json.value(t.control.failovers);
-    json.key("restores");
-    json.value(t.control.restores);
-    json.key("degraded_us");
-    json.value(t.control.degraded_us);
-    json.key("recovery_us");
-    json.value(t.control.recovery_us);
-    json.key("throughput_retention");
-    json.value(t.control.throughput_retention);
-    json.end_object();
+    json::Value control;
+    control.set("updates", t.control.updates)
+        .set("updates_lost", t.control.updates_lost)
+        .set("failovers", t.control.failovers)
+        .set("restores", t.control.restores)
+        .set("degraded_us", t.control.degraded_us)
+        .set("recovery_us", t.control.recovery_us)
+        .set("throughput_retention", t.control.throughput_retention);
+    out.set("control", std::move(control));
   }
-  json.key("queue_delay");
-  json.begin_array();
+  json::Value delays = json::Value::array();
   for (std::size_t q = 0; q < t.queue_delay.size(); ++q) {
     const telemetry::QueueDelaySummary& d = t.queue_delay[q];
     if (d.count == 0) continue;
-    json.begin_object();
-    json.key("queue");
-    json.value(q);
-    json.key("count");
-    json.value(d.count);
-    json.key("p50_us");
-    json.value(d.p50_us);
-    json.key("p99_us");
-    json.value(d.p99_us);
-    json.key("max_us");
-    json.value(d.max_us);
-    json.end_object();
+    json::Value delay;
+    delay.set("queue", q)
+        .set("count", d.count)
+        .set("p50_us", d.p50_us)
+        .set("p99_us", d.p99_us)
+        .set("max_us", d.max_us);
+    delays.push(std::move(delay));
   }
-  json.end_array();
-  json.end_object();
+  out.set("queue_delay", std::move(delays));
+  return out;
 }
 
 // Hashes are emitted as "0x" + 16 hex digits: a u64 does not survive a
@@ -143,7 +113,7 @@ std::size_t ResultStore::failures() const {
   return n;
 }
 
-std::vector<AggregateRow> ResultStore::aggregate(const std::string& replica_axis) const {
+std::vector<AggregateRow> ResultStore::aggregate() const {
   std::vector<AggregateRow> rows;
   std::map<std::string, std::size_t> row_by_key;      // group key -> rows index
   std::map<std::size_t, std::map<std::string, std::vector<double>>> samples;
@@ -152,7 +122,7 @@ std::vector<AggregateRow> ResultStore::aggregate(const std::string& replica_axis
     std::string key;
     std::vector<std::pair<std::string, AxisValue>> coords;
     for (const auto& [axis, value] : o.point.coords) {
-      if (axis == replica_axis) continue;
+      if (axis == "seed") continue;
       key += axis + '=' + value.label + '\x1f';
       coords.emplace_back(axis, value);
     }
@@ -171,174 +141,81 @@ std::vector<AggregateRow> ResultStore::aggregate(const std::string& replica_axis
   return rows;
 }
 
-std::string ResultStore::to_json(const JsonOptions& options,
-                                 const std::string& replica_axis) const {
-  JsonWriter json;
-  json.begin_object();
-  // v7: jobs lost the per-job "oracle" competitive-ratio block that v5
-  // added; v6: telemetry gained the optional "control" block (control-plane
-  // updates/failovers and recovery metrics, DESIGN.md §14); v4: telemetry
-  // gained "scenario_actions" (§11).
-  json.key("schema_version");
-  json.value(7);
-  json.key("sweep");
-  json.value(name_);
-  json.key("mode");
-  json.value(spec_.zipped ? "zipped" : "cartesian");
-
-  json.key("axes");
-  json.begin_array();
+std::string ResultStore::to_json(const JsonOptions& options) const {
+  json::Value axes = json::Value::array();
   for (const auto& axis : spec_.axes) {
-    json.begin_object();
-    json.key("name");
-    json.value(axis.name);
-    json.key("values");
-    json.begin_array();
-    for (const auto& v : axis.values) write_axis_value(json, v);
-    json.end_array();
-    json.end_object();
+    json::Value values = json::Value::array();
+    for (const auto& v : axis.values) values.push(axis_value(v));
+    axes.push(json::Value().set("name", axis.name).set("values", std::move(values)));
   }
-  json.end_array();
 
-  json.key("jobs");
-  json.begin_array();
+  json::Value jobs = json::Value::array();
   for (const auto& o : outcomes_) {
-    json.begin_object();
-    json.key("id");
-    json.value(o.point.job_id);
-    json.key("point");
-    write_point(json, o.point.coords);
-    json.key("ok");
-    json.value(o.ok);
-    json.key("attempts");
-    json.value(o.attempts);
+    json::Value job;
+    job.set("id", o.point.job_id).set("point", point_json(o.point.coords)).set("ok", o.ok);
     if (o.ok) {
-      json.key("metrics");
-      json.begin_object();
-      for (const auto& [metric, v] : o.metrics) {
-        json.key(metric);
-        json.value(v);
-      }
-      json.end_object();
-      if (o.telemetry) {
-        json.key("telemetry");
-        write_telemetry(json, *o.telemetry);
-      }
-      if (o.trajectory_hash) {
-        json.key("trajectory_hash");
-        json.value(hash_hex(*o.trajectory_hash));
-      }
+      json::Value metrics = json::Value::object();
+      for (const auto& [metric, v] : o.metrics) metrics.set(metric, v);
+      job.set("metrics", std::move(metrics));
+      if (o.telemetry) job.set("telemetry", telemetry_json(*o.telemetry));
+      if (o.trajectory_hash) job.set("trajectory_hash", hash_hex(*o.trajectory_hash));
     } else {
-      json.key("timed_out");
-      json.value(o.timed_out);
-      json.key("error");
-      json.value(o.error);
+      job.set("error", o.error);
     }
     if (options.include_perf) {
-      json.key("perf");
-      json.begin_object();
-      json.key("wall_ms");
-      json.value(o.wall_ms);
-      json.key("cpu_ms");
-      json.value(o.cpu_ms);
-      json.end_object();
+      job.set("perf", json::Value().set("wall_ms", o.wall_ms).set("cpu_ms", o.cpu_ms));
     }
-    json.end_object();
+    jobs.push(std::move(job));
   }
-  json.end_array();
 
-  json.key("aggregates");
-  json.begin_array();
-  for (const auto& row : aggregate(replica_axis)) {
-    json.begin_object();
-    json.key("point");
-    write_point(json, row.coords);
-    json.key("replicas");
-    json.value(row.replicas);
-    json.key("metrics");
-    json.begin_object();
+  json::Value aggregates = json::Value::array();
+  for (const auto& row : aggregate()) {
+    json::Value metrics = json::Value::object();
     for (const auto& [metric, agg] : row.metrics) {
-      json.key(metric);
-      json.begin_object();
-      json.key("n");
-      json.value(agg.n);
-      json.key("mean");
-      json.value(agg.mean);
-      json.key("p50");
-      json.value(agg.p50);
-      json.key("p99");
-      json.value(agg.p99);
-      json.key("min");
-      json.value(agg.min);
-      json.key("max");
-      json.value(agg.max);
-      json.key("ci95_half");
-      json.value(agg.ci95_half);
-      json.end_object();
+      json::Value m;
+      m.set("n", agg.n)
+          .set("mean", agg.mean)
+          .set("p50", agg.p50)
+          .set("p99", agg.p99)
+          .set("min", agg.min)
+          .set("max", agg.max)
+          .set("ci95_half", agg.ci95_half);
+      metrics.set(metric, std::move(m));
     }
-    json.end_object();
-    json.end_object();
+    aggregates.push(json::Value()
+                        .set("point", point_json(row.coords))
+                        .set("replicas", row.replicas)
+                        .set("metrics", std::move(metrics)));
   }
-  json.end_array();
 
-  json.key("failures");
-  json.value(failures());
-
+  // v8: dropped "mode" and the per-job "attempts" and "timed_out" (the
+  // engine has one job path); v7: jobs lost the per-job "oracle"
+  // competitive-ratio block that v5 added; v6: telemetry gained the
+  // optional "control" block (control-plane updates/failovers and recovery
+  // metrics, DESIGN.md §14); v4: telemetry gained "scenario_actions" (§11).
+  json::Value doc;
+  doc.set("schema_version", 8)
+      .set("sweep", name_)
+      .set("axes", std::move(axes))
+      .set("jobs", std::move(jobs))
+      .set("aggregates", std::move(aggregates))
+      .set("failures", failures());
   if (options.include_perf) {
-    json.key("perf");
-    json.begin_object();
-    json.key("jobs");
-    json.value(jobs_used_);
-    json.key("total_wall_ms");
-    json.value(total_wall_ms_);
-    json.key("max_rss_kb");
-    json.value(max_rss_kb_);
-    json.end_object();
+    doc.set("perf", json::Value()
+                        .set("jobs", jobs_used_)
+                        .set("total_wall_ms", total_wall_ms_)
+                        .set("max_rss_kb", max_rss_kb_));
   }
-  json.end_object();
-  std::string out = json.take();
-  out += '\n';
-  return out;
+  return doc.dump() + '\n';
 }
 
-bool ResultStore::write_json(const std::string& path, const JsonOptions& options,
-                             const std::string& replica_axis) const {
+bool ResultStore::write_json(const std::string& path, const JsonOptions& options) const {
   std::ofstream out(path);
   if (!out.good()) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return false;
   }
-  out << to_json(options, replica_axis);
-  return out.good();
-}
-
-bool ResultStore::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::set<std::string> metric_names;
-  for (const auto& o : outcomes_) {
-    for (const auto& [metric, v] : o.metrics) metric_names.insert(metric);
-  }
-  out << "job_id";
-  for (const auto& axis : spec_.axes) out << ',' << axis.name;
-  for (const auto& metric : metric_names) out << ',' << metric;
-  out << ",ok,error\n";
-  for (const auto& o : outcomes_) {
-    out << o.point.job_id;
-    for (const auto& [axis, value] : o.point.coords) out << ',' << value.label;
-    for (const auto& metric : metric_names) {
-      out << ',';
-      const auto it = o.metrics.find(metric);
-      if (it != o.metrics.end()) out << JsonWriter::format_number(it->second);
-    }
-    std::string err = o.error;
-    std::replace(err.begin(), err.end(), ',', ';');
-    std::replace(err.begin(), err.end(), '\n', ' ');
-    out << ',' << (o.ok ? 1 : 0) << ',' << err << '\n';
-  }
+  out << to_json(options);
   return out.good();
 }
 

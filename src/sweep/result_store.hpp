@@ -1,9 +1,9 @@
 // Sweep results: per-job records (metrics, error, runtime, rusage) stored
 // in job-id order, seed-replica aggregation (mean/p50/p99 + 95% confidence
 // interval per metric), and machine-readable emission as JSON (schema in
-// DESIGN.md §7) or tidy CSV. Everything except the optional perf section is
-// a pure function of the spec and the job results, so emitted bytes are
-// identical for any worker count.
+// DESIGN.md §7). Everything except the optional perf section is a pure
+// function of the spec and the job results, so emitted bytes are identical
+// for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +43,9 @@ struct JobOutcome {
   std::optional<telemetry::TelemetrySummary> telemetry;  // when the job returned one
   std::optional<std::uint64_t> trajectory_hash;  // when the job returned one
   bool ok = false;
-  bool timed_out = false;
-  int attempts = 0;
   std::string error;       // what() of the captured exception, if any
-  double wall_ms = 0.0;    // last attempt's wall-clock time
-  double cpu_ms = 0.0;     // last attempt's thread CPU time (user+sys)
+  double wall_ms = 0.0;    // wall-clock time
+  double cpu_ms = 0.0;     // thread CPU time (user+sys)
 };
 
 // Distribution of one metric across seed replicas.
@@ -64,8 +62,8 @@ struct MetricAggregate {
 
 MetricAggregate aggregate_samples(std::vector<double> samples);
 
-// One aggregate row: the grid point minus the replica axis, plus the
-// per-metric distributions over the replicas that succeeded.
+// One aggregate row: the grid point minus the "seed" axis, plus the
+// per-metric distributions over the seed replicas that succeeded.
 struct AggregateRow {
   std::vector<std::pair<std::string, AxisValue>> coords;
   std::size_t replicas = 0;  // successful jobs folded in
@@ -102,22 +100,16 @@ class ResultStore {
     total_wall_ms_ = total_wall_ms;
     max_rss_kb_ = max_rss_kb;
   }
-  double total_wall_ms() const { return total_wall_ms_; }
 
-  // Groups successful outcomes by every axis except `replica_axis` (in job
-  // order) and aggregates each metric. A spec without that axis yields one
+  // Groups successful outcomes by every axis except "seed" (in job order)
+  // and aggregates each metric. A spec without a seed axis yields one
   // single-replica row per job.
-  std::vector<AggregateRow> aggregate(const std::string& replica_axis = "seed") const;
+  std::vector<AggregateRow> aggregate() const;
 
   // Serialization. write_json returns false (and warns on stderr) when the
   // path cannot be opened.
-  std::string to_json(const JsonOptions& options = {},
-                      const std::string& replica_axis = "seed") const;
-  bool write_json(const std::string& path, const JsonOptions& options = {},
-                  const std::string& replica_axis = "seed") const;
-  // Tidy CSV: one row per job — axis columns, then the sorted union of
-  // metric names, then ok/error.
-  bool write_csv(const std::string& path) const;
+  std::string to_json(const JsonOptions& options = {}) const;
+  bool write_json(const std::string& path, const JsonOptions& options = {}) const;
 
  private:
   std::string name_;

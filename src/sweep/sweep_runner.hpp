@@ -3,8 +3,8 @@
 // needs (its own sim::Simulator, topology, flows) from the point alone, so
 // jobs share no mutable state and results are bit-identical for any worker
 // count. A throwing job (check::AuditError, any std::exception) is captured
-// into its JobOutcome instead of killing the sweep; a wall-clock timeout
-// and a retry-once policy are available per sweep.
+// into its JobOutcome instead of killing the sweep. Since a job is a pure
+// function of its point, a failure is final: rerunning it would throw again.
 //
 // This is the only directory in src/ that may spawn threads
 // (tools/check_conventions.sh enforces it): simulators are single-threaded
@@ -23,13 +23,11 @@ namespace dynaq::sweep {
 // A job maps its grid point to named scalar metrics ("avg_overall_ms",
 // "jain_min", ...) plus an optional TelemetrySummary (JobResult converts
 // implicitly from a bare metrics map). Metric names must not depend on the
-// worker count; the ordered map keeps JSON/CSV emission deterministic.
+// worker count; the ordered map keeps JSON emission deterministic.
 using JobFn = std::function<JobResult(const JobPoint&)>;
 
 struct RunnerOptions {
-  int jobs = 0;              // workers; <= 0 means hardware_concurrency
-  double timeout_s = 0.0;    // per-attempt wall-clock budget; <= 0 disables
-  bool retry_failed_once = false;  // one extra attempt after failure/timeout
+  int jobs = 0;  // workers; <= 0 means hardware_concurrency
 };
 
 class SweepRunner {
@@ -37,10 +35,7 @@ class SweepRunner {
   explicit SweepRunner(RunnerOptions options = {}) : options_(options) {}
 
   // Runs every job in `spec` and returns the filled store. Never throws for
-  // job failures — inspect ResultStore::failures(). A timed-out attempt
-  // releases its worker immediately; the runaway thread is joined before
-  // run() returns, so a truly wedged job delays only sweep shutdown, never
-  // its siblings.
+  // job failures — inspect ResultStore::failures().
   ResultStore run(std::string sweep_name, const SweepSpec& spec, const JobFn& fn) const;
 
   int effective_jobs() const;  // options_.jobs resolved against the hardware

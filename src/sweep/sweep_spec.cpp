@@ -41,7 +41,6 @@ std::string JobPoint::name() const {
 
 std::size_t SweepSpec::num_jobs() const {
   if (axes.empty()) return 0;
-  if (zipped) return axes.front().values.size();
   std::size_t n = 1;
   for (const auto& axis : axes) n *= axis.values.size();
   return n;
@@ -53,24 +52,10 @@ std::vector<JobPoint> SweepSpec::expand() const {
     if (axis.values.empty()) {
       throw std::invalid_argument("SweepSpec: axis '" + axis.name + "' has no values");
     }
-    if (zipped && axis.values.size() != axes.front().values.size()) {
-      throw std::invalid_argument("SweepSpec: zipped axes must have equal lengths ('" +
-                                  axis.name + "' differs)");
-    }
   }
 
   std::vector<JobPoint> points;
   points.reserve(num_jobs());
-  if (zipped) {
-    for (std::size_t i = 0; i < axes.front().values.size(); ++i) {
-      JobPoint p;
-      p.job_id = points.size();
-      for (const auto& axis : axes) p.coords.emplace_back(axis.name, axis.values[i]);
-      points.push_back(std::move(p));
-    }
-    return points;
-  }
-
   // Cartesian product, last axis fastest (odometer).
   std::vector<std::size_t> idx(axes.size(), 0);
   for (;;) {

@@ -1,9 +1,9 @@
 // Declarative experiment-sweep grids. A SweepSpec names a set of axes
-// (scheme, load, seed, or any caller-defined dimension) and expands them —
-// cartesian product or position-wise zip — into an ordered list of
-// JobPoints. Expansion order is fixed by the spec alone, so job ids (and
-// everything keyed off them: results, aggregation, JSON) are independent of
-// how many workers later execute the jobs.
+// (scheme, load, seed, or any caller-defined dimension) and expands their
+// cartesian product into an ordered list of JobPoints. Expansion order is
+// fixed by the spec alone, so job ids (and everything keyed off them:
+// results, aggregation, JSON) are independent of how many workers later
+// execute the jobs.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +45,12 @@ struct JobPoint {
 
 struct SweepSpec {
   std::vector<Axis> axes;
-  // false: cartesian product, last axis fastest (row-major, matching the
-  // nesting order of the serial loops the sweep replaces). true: all axes
-  // must have equal length; job i takes value i of every axis.
-  bool zipped = false;
 
   std::size_t num_jobs() const;
-  std::vector<JobPoint> expand() const;  // throws on empty/ragged specs
+  // The cartesian product, last axis fastest (row-major, matching the
+  // nesting order of the serial loops the sweep replaces). Throws on a spec
+  // without axes or with an empty axis.
+  std::vector<JobPoint> expand() const;
 };
 
 }  // namespace dynaq::sweep

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "json/json.hpp"
 #include "sim/fingerprint.hpp"
 
 namespace dynaq::telemetry {
@@ -138,29 +139,18 @@ TelemetrySummary Hub::summary() const {
 std::string events_to_jsonl(std::span<const Event> events,
                             std::span<const std::string> port_names) {
   std::string out;
-  char buf[256];
   for (const Event& e : events) {
-    const char* port = (e.port >= 0 && static_cast<std::size_t>(e.port) < port_names.size())
-                           ? port_names[static_cast<std::size_t>(e.port)].c_str()
-                           : "?";
-    int n = std::snprintf(buf, sizeof buf,
-                          "{\"t_ps\":%lld,\"kind\":\"%s\",\"port\":\"%s\",\"queue\":%d",
-                          static_cast<long long>(e.when),
-                          std::string(event_kind_name(e.kind)).c_str(), port,
-                          static_cast<int>(e.queue));
-    out.append(buf, static_cast<std::size_t>(n));
-    if (e.kind == EventKind::kDrop) {
-      n = std::snprintf(buf, sizeof buf, ",\"reason\":\"%s\"",
-                        std::string(drop_reason_name(e.reason)).c_str());
-      out.append(buf, static_cast<std::size_t>(n));
-    }
-    if (e.other_queue >= 0) {
-      n = std::snprintf(buf, sizeof buf, ",\"victim\":%d", static_cast<int>(e.other_queue));
-      out.append(buf, static_cast<std::size_t>(n));
-    }
-    n = std::snprintf(buf, sizeof buf, ",\"bytes\":%d,\"flow\":%u}\n",
-                      static_cast<int>(e.bytes), e.flow);
-    out.append(buf, static_cast<std::size_t>(n));
+    const bool named = e.port >= 0 && static_cast<std::size_t>(e.port) < port_names.size();
+    json::Value line;
+    line.set("t_ps", e.when)
+        .set("kind", std::string(event_kind_name(e.kind)))
+        .set("port", named ? port_names[static_cast<std::size_t>(e.port)] : "?")
+        .set("queue", e.queue);
+    if (e.kind == EventKind::kDrop) line.set("reason", std::string(drop_reason_name(e.reason)));
+    if (e.other_queue >= 0) line.set("victim", e.other_queue);
+    line.set("bytes", e.bytes).set("flow", e.flow);
+    out += line.dump();
+    out += '\n';
   }
   return out;
 }

@@ -10,12 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "report/artifacts.hpp"
 #include "report/bench_history.hpp"
 #include "report/expectation.hpp"
-#include "report/json.hpp"
 #include "report/markdown.hpp"
 
+namespace json = dynaq::json;
 namespace report = dynaq::report;
 
 namespace {
@@ -33,7 +34,7 @@ std::string read_file(const std::string& path) {
 }
 
 report::SweepDoc load_fixture(const std::string& name) {
-  return report::load_sweep_doc(report::parse_json(read_file(data_path(name))), name);
+  return report::load_sweep_doc(json::parse(read_file(data_path(name))), name);
 }
 
 const report::Outcome& outcome_of(const std::vector<report::Outcome>& outcomes,
@@ -66,58 +67,6 @@ report::SweepJob make_job(std::int64_t id, const std::string& scheme, double see
   return job;
 }
 
-// ---------------------------------------------------------------- JSON --
-
-TEST(ReportJson, ParsesScalarsContainersAndEscapes) {
-  const report::Json doc = report::parse_json(
-      R"({"a":1.5,"b":-2e3,"c":"x\n\"Aé","d":[true,false,null],"e":{}})");
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.number_or("a", 0.0), 1.5);
-  EXPECT_DOUBLE_EQ(doc.number_or("b", 0.0), -2000.0);
-  EXPECT_EQ(doc.string_or("c", ""), "x\n\"A\xc3\xa9");
-  ASSERT_TRUE(doc.find("d")->is_array());
-  EXPECT_EQ(doc.find("d")->as_array().size(), 3u);
-  EXPECT_TRUE(doc.find("d")->as_array()[0].as_bool());
-  EXPECT_TRUE(doc.find("d")->as_array()[2].is_null());
-  EXPECT_TRUE(doc.find("e")->is_object());
-  EXPECT_EQ(doc.find("missing"), nullptr);
-}
-
-TEST(ReportJson, PreservesObjectKeyOrder) {
-  const report::Json doc = report::parse_json(R"({"zebra":1,"apple":2,"mango":3})");
-  const report::Json::Object& obj = doc.as_object();
-  ASSERT_EQ(obj.size(), 3u);
-  EXPECT_EQ(obj[0].first, "zebra");
-  EXPECT_EQ(obj[1].first, "apple");
-  EXPECT_EQ(obj[2].first, "mango");
-}
-
-TEST(ReportJson, ReportsLineAndColumnOnError) {
-  try {
-    report::parse_json("{\"a\": 1,\n  \"b\": }");
-    FAIL() << "expected ParseError";
-  } catch (const report::ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-    EXPECT_GT(e.column(), 1u);
-  }
-}
-
-TEST(ReportJson, RejectsTrailingGarbage) {
-  EXPECT_THROW(report::parse_json("{} trailing"), report::ParseError);
-  EXPECT_THROW(report::parse_json(""), report::ParseError);
-}
-
-TEST(ReportJson, JsonlSkipsBlankLinesAndNamesBadLine) {
-  const std::vector<report::Json> docs = report::parse_jsonl("{\"a\":1}\n\n{\"b\":2}\n");
-  ASSERT_EQ(docs.size(), 2u);
-  try {
-    report::parse_jsonl("{\"ok\":true}\nnot json\n");
-    FAIL() << "expected ParseError";
-  } catch (const report::ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-  }
-}
-
 // ----------------------------------------------------------- artifacts --
 
 TEST(ReportArtifacts, LoadsSweepFixture) {
@@ -139,14 +88,14 @@ TEST(ReportArtifacts, LoadsSweepFixture) {
 }
 
 TEST(ReportArtifacts, SweepDocDetectionRejectsForeignJson) {
-  EXPECT_FALSE(report::looks_like_sweep_doc(report::parse_json(R"({"events":[]})")));
-  EXPECT_FALSE(report::looks_like_sweep_doc(report::parse_json("[1,2,3]")));
-  EXPECT_THROW(report::load_sweep_doc(report::parse_json("{}"), "x.json"), std::runtime_error);
+  EXPECT_FALSE(report::looks_like_sweep_doc(json::parse(R"({"events":[]})")));
+  EXPECT_FALSE(report::looks_like_sweep_doc(json::parse("[1,2,3]")));
+  EXPECT_THROW(report::load_sweep_doc(json::parse("{}"), "x.json"), std::runtime_error);
 }
 
 TEST(ReportArtifacts, LoadsBenchCoreFixture) {
   const report::BenchCoreDoc doc = report::load_bench_core_doc(
-      report::parse_json(read_file(data_path("bench_core.json"))), "bench_core.json");
+      json::parse(read_file(data_path("bench_core.json"))), "bench_core.json");
   EXPECT_EQ(doc.schema, "dynaq-bench-core-v1");
   EXPECT_EQ(doc.reps, 5);
   ASSERT_EQ(doc.workloads.size(), 3u);
@@ -347,7 +296,7 @@ TEST(Markdown, GoldenReport) {
   inputs.sweeps.push_back(load_fixture("passing_sweep.json"));
   inputs.outcomes = report::evaluate(report::default_catalogue(), inputs.sweeps);
   const report::BenchCoreDoc core = report::load_bench_core_doc(
-      report::parse_json(read_file(data_path("bench_core.json"))), "bench_core.json");
+      json::parse(read_file(data_path("bench_core.json"))), "bench_core.json");
   inputs.bench_core = &core;
   inputs.history = report::parse_history(read_file(data_path("history.jsonl")));
   inputs.bench_findings = report::history_regressions(inputs.history);

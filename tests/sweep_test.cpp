@@ -1,10 +1,8 @@
 // Sweep-engine tests: grid expansion, worker-pool determinism (byte-
 // identical JSON for any --jobs), per-job fault isolation (a throwing job
-// is captured, its siblings finish), timeout, retry-once, seed-replica
-// aggregation and the JSON/CSV emitters.
+// is captured, its siblings finish) and seed-replica aggregation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -12,7 +10,6 @@
 #include <thread>
 
 #include "check/invariant_auditor.hpp"
-#include "sweep/json.hpp"
 #include "sweep/result_store.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "sweep/sweep_spec.hpp"
@@ -54,25 +51,11 @@ TEST(SweepSpec, CartesianExpandsLastAxisFastest) {
   for (std::size_t i = 0; i < points.size(); ++i) EXPECT_EQ(points[i].job_id, i);
 }
 
-TEST(SweepSpec, ZippedPairsValuesPositionally) {
-  SweepSpec spec;
-  spec.zipped = true;
-  spec.axes = {Axis::numeric("load", {0.3, 0.5}), Axis::numeric("flows", {100, 200})};
-  const auto points = spec.expand();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[1].number("load"), 0.5);
-  EXPECT_DOUBLE_EQ(points[1].number("flows"), 200);
-}
-
 TEST(SweepSpec, RejectsEmptyAndRaggedSpecs) {
   EXPECT_THROW(SweepSpec{}.expand(), std::invalid_argument);
   SweepSpec empty_axis;
   empty_axis.axes = {Axis::numeric("load", {})};
   EXPECT_THROW(empty_axis.expand(), std::invalid_argument);
-  SweepSpec ragged;
-  ragged.zipped = true;
-  ragged.axes = {Axis::numeric("a", {1}), Axis::numeric("b", {1, 2})};
-  EXPECT_THROW(ragged.expand(), std::invalid_argument);
 }
 
 TEST(SweepSpec, PointLookupThrowsOnUnknownAxis) {
@@ -138,7 +121,7 @@ TEST(SweepRunner, TrajectoryHashesRideJobResultsForAnyWorkerCount) {
   const sweep::JsonOptions no_perf{.include_perf = false};
   const std::string json = store1.to_json(no_perf);
   EXPECT_EQ(json, store4.to_json(no_perf));
-  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x0000000000001000\""), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x000000000000100b\""), std::string::npos);
 }
@@ -174,58 +157,17 @@ TEST(SweepRunner, AuditErrorInOneJobDoesNotAbortSiblings) {
     EXPECT_EQ(o.ok, !should_fail) << o.point.name();
     if (should_fail) {
       EXPECT_NE(o.error.find("injected for the fault-isolation test"), std::string::npos);
-      EXPECT_FALSE(o.timed_out);
     } else {
       EXPECT_FALSE(o.metrics.empty()) << o.point.name();
     }
   }
   // Failed replicas drop out of aggregation: (BestEffort, *) keeps seed 1.
-  for (const auto& row : store.aggregate("seed")) {
+  for (const auto& row : store.aggregate()) {
     std::string scheme;
     for (const auto& [axis, value] : row.coords) {
       if (axis == "scheme") scheme = value.label;
     }
     EXPECT_EQ(row.replicas, scheme == "BestEffort" ? 1u : 2u);
-  }
-}
-
-TEST(SweepRunner, RetryOnceRecoversTransientFailuresAndCountsAttempts) {
-  SweepSpec spec;
-  spec.axes = {Axis::numeric("id", {0, 1, 2})};
-  std::atomic<int> flaky_calls{0};
-  const auto job = [&flaky_calls](const JobPoint& p) -> std::map<std::string, double> {
-    if (p.number("id") == 1 && flaky_calls.fetch_add(1) == 0) {
-      throw std::runtime_error("transient");
-    }
-    if (p.number("id") == 2) throw std::runtime_error("permanent");
-    return {{"v", p.number("id")}};
-  };
-  const auto store =
-      SweepRunner(RunnerOptions{.jobs = 1, .retry_failed_once = true}).run("retry", spec, job);
-  EXPECT_TRUE(store.outcome(0).ok);
-  EXPECT_EQ(store.outcome(0).attempts, 1);
-  EXPECT_TRUE(store.outcome(1).ok);  // failed once, retried, succeeded
-  EXPECT_EQ(store.outcome(1).attempts, 2);
-  EXPECT_FALSE(store.outcome(2).ok);
-  EXPECT_EQ(store.outcome(2).attempts, 2);
-  EXPECT_EQ(store.outcome(2).error, "permanent");
-}
-
-TEST(SweepRunner, TimedOutJobIsRecordedWhileSiblingsComplete) {
-  SweepSpec spec;
-  spec.axes = {Axis::numeric("id", {0, 1, 2, 3})};
-  const auto job = [](const JobPoint& p) -> std::map<std::string, double> {
-    if (p.number("id") == 2) std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    return {{"v", 1.0}};
-  };
-  const auto store =
-      SweepRunner(RunnerOptions{.jobs = 2, .timeout_s = 0.05}).run("slow", spec, job);
-  EXPECT_EQ(store.failures(), 1u);
-  EXPECT_TRUE(store.outcome(2).timed_out);
-  EXPECT_NE(store.outcome(2).error.find("timed out"), std::string::npos);
-  for (const std::size_t id : {0u, 1u, 3u}) {
-    EXPECT_TRUE(store.outcome(id).ok) << id;
-    EXPECT_FALSE(store.outcome(id).timed_out);
   }
 }
 
@@ -249,7 +191,7 @@ TEST(ResultStore, AggregatesSeedReplicasWithConfidenceInterval) {
 TEST(ResultStore, AggregateGroupsByNonReplicaAxes) {
   const auto spec = scheme_load_seed_grid();
   const auto store = SweepRunner(RunnerOptions{.jobs = 2}).run("agg", spec, fake_job);
-  const auto rows = store.aggregate("seed");
+  const auto rows = store.aggregate();
   ASSERT_EQ(rows.size(), 6u);  // 3 schemes x 2 loads
   for (const auto& row : rows) {
     EXPECT_EQ(row.replicas, 2u);
@@ -260,48 +202,6 @@ TEST(ResultStore, AggregateGroupsByNonReplicaAxes) {
     EXPECT_NEAR(m.max - m.min, 0.125, 1e-12);
     EXPECT_NEAR(m.mean, (m.min + m.max) / 2.0, 1e-12);
   }
-  // Aggregating on an axis the spec lacks yields one row per job.
-  EXPECT_EQ(store.aggregate("not_an_axis").size(), 12u);
-}
-
-// ------------------------------------------------------- emission --
-
-TEST(ResultStore, CsvHasOneRowPerJobWithErrorsFlattened) {
-  SweepSpec spec;
-  spec.axes = {Axis::labels("scheme", {"A", "B"})};
-  const auto job = [](const JobPoint& p) -> std::map<std::string, double> {
-    if (p.label("scheme") == "B") throw std::runtime_error("boom, with\ncomma");
-    return {{"v", 1.5}};
-  };
-  const auto store = SweepRunner(RunnerOptions{.jobs = 1}).run("csv", spec, job);
-  const std::string path = testing::TempDir() + "sweep_rows.csv";
-  ASSERT_TRUE(store.write_csv(path));
-  std::ifstream in(path);
-  std::string header, row_a, row_b;
-  std::getline(in, header);
-  std::getline(in, row_a);
-  std::getline(in, row_b);
-  EXPECT_EQ(header, "job_id,scheme,v,ok,error");
-  EXPECT_EQ(row_a, "0,A,1.5,1,");
-  EXPECT_EQ(row_b, "1,B,,0,boom; with comma");
-}
-
-TEST(JsonWriter, EscapesAndFormatsDeterministically) {
-  sweep::JsonWriter json;
-  json.begin_object();
-  json.key("s");
-  json.value("a\"b\\c\nd");
-  json.key("i");
-  json.value(3.0);
-  json.key("d");
-  json.value(0.125);
-  json.key("arr");
-  json.begin_array();
-  json.value(1);
-  json.value(true);
-  json.end_array();
-  json.end_object();
-  EXPECT_EQ(json.take(), "{\"s\":\"a\\\"b\\\\c\\nd\",\"i\":3,\"d\":0.125,\"arr\":[1,true]}");
 }
 
 }  // namespace

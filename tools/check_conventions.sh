@@ -35,10 +35,11 @@
 #      every mutation stays inside the audited component APIs.
 #  13. The report subsystem reads serialized artifacts only (DESIGN.md
 #      §13): src/report evaluates sweep results JSON, BENCH_core.json and
-#      BENCH_history.jsonl, so it must not include any model/runtime header
-#      (sim, net, core, transport, topo, harness, telemetry, sweep,
-#      scenario, check, stats, workload) — expectations judge runs from
-#      their artifacts, never from simulator internals.
+#      BENCH_history.jsonl, so src/report and tools/report_gen.cpp include
+#      only report/ headers and json/, the leaf JSON module — never a
+#      model/runtime header (sim, net, core, transport, topo, harness,
+#      telemetry, sweep, scenario, check, stats, workload): expectations
+#      judge runs from their artifacts, never from simulator internals.
 #  14. Control-plane mutations go through the ctrlplane shim (DESIGN.md
 #      §14): outside src/core (the policy that owns it) and src/ctrlplane
 #      (the shim), no src/ code may drive core::DynaQController's mutating
@@ -46,6 +47,11 @@
 #      thresholds, watchdog failover and re-sync all flow through
 #      ctrlplane::ControlPlanePolicy so the bounded-staleness audit and the
 #      trajectory hash see every change.
+#  15. One JSON module (DESIGN.md §2): every artifact is built as a
+#      json::Value and written by its dump(), the only number formatter and
+#      string escaper, so no C++ string literal in src/, bench/ or tools/
+#      outside src/json may spell JSON syntax ({\" or \":). src/json is a
+#      leaf: it includes no other repo header.
 #   8. Instrumentation goes through telemetry::Hub (DESIGN.md §8), the one
 #      observation channel: its event bus plus its wire taps. The
 #      last-writer-wins Port callbacks (on_transmit_start/on_deliver) and
@@ -158,11 +164,25 @@ if [[ -n "$hits" ]]; then
 fi
 
 # -- 13. report reads serialized artifacts only (DESIGN.md §13) ---------------
-hits=$(grep -rnE '#include "(sim|net|core|transport|topo|harness|telemetry|sweep|scenario|check|stats|workload)/' \
-  src/report/ tools/report_gen.cpp | grep -vE '^\S+:\s*//' || true)
+hits=$(grep -rnE '#include "' src/report/ tools/report_gen.cpp | grep -vE '#include "(report|json)/' \
+  | grep -vE '^\S+:\s*//' || true)
 if [[ -n "$hits" ]]; then
   complain "report-via-artifacts" \
-    "src/report judges runs from serialized artifacts (sweep JSON, BENCH_*.json); it must not include model/runtime headers:" \
+    "src/report judges runs from serialized artifacts (sweep JSON, BENCH_*.json); it may include only report/ and json/ headers:" \
+    "$hits"
+fi
+
+# -- 15. one JSON module (src/json) -------------------------------------------
+hits=$(grep -rnF --include='*.cpp' --include='*.hpp' -e '{\"' -e '\":' src/ bench/ tools/ \
+  | grep -v '^src/json/' | grep -vE '^\S+:\s*//' || true)
+if [[ -n "$hits" ]]; then
+  complain "one-json-module" \
+    "build artifacts as a json::Value and write them with dump(); no hand-spelled JSON outside src/json:" \
+    "$hits"
+fi
+hits=$(grep -rnE '#include "' src/json/ | grep -vE '#include "json/' || true)
+if [[ -n "$hits" ]]; then
+  complain "one-json-module" "src/json is a leaf library; it must not include other repo headers:" \
     "$hits"
 fi
 

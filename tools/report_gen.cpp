@@ -28,10 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "report/artifacts.hpp"
 #include "report/bench_history.hpp"
 #include "report/expectation.hpp"
-#include "report/json.hpp"
 #include "report/markdown.hpp"
 
 namespace {
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      const report::Json doc = report::parse_json(text);
+      const json::Value doc = json::parse(text);
       if (!report::looks_like_sweep_doc(doc)) {
         if (!opt.quiet) {
           std::fprintf(stderr, "report_gen: %s is not a sweep document, skipping\n",
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      bench_core = report::load_bench_core_doc(report::parse_json(text), core_path);
+      bench_core = report::load_bench_core_doc(json::parse(text), core_path);
       have_core = true;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "report_gen: %s: %s\n", core_path.c_str(), e.what());

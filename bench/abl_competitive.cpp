@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
             core::SchemeKind::kBestEffort});
   sweep.loads = cli.reals("loads", full ? std::vector<double>{0.5, 0.7, 0.9}
                                         : std::vector<double>{0.7});
-  sweep.flows = static_cast<std::size_t>(cli.natural("flows", full ? 4'000 : 400));
+  sweep.flows = static_cast<std::size_t>(cli.positive("flows", full ? 4'000 : 400));
   sweep.seeds = cli.naturals("seeds", full ? std::vector<double>{1, 2, 3, 4, 5}
                                            : std::vector<double>{1, 2, 3});
 

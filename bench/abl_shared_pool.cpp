@@ -40,7 +40,7 @@ Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a) {
     // Shared-buffer switch: per-port cap = whole pool, chip-wide DT.
     cfg.buffer_bytes = pool_bytes;
     cfg.scheme.kind = core::SchemeKind::kDynamicThreshold;
-    cfg.scheme.custom_policy = [&pool] {
+    cfg.scheme.custom_policy_sim = [&pool](sim::Simulator&) {
       return std::make_unique<core::DynamicThresholdPolicy>(1.0, &pool);
     };
   } else {
@@ -107,8 +107,8 @@ Outcome run(bool shared_pool, std::int64_t pool_bytes, int flows_a) {
 int main(int argc, char** argv) {
   // The runs draw no random numbers, so there is no --seed.
   const harness::Cli cli(argc, argv);
-  const std::int64_t pool_bytes = cli.natural("pool-kb", 120) * 1000;
-  const int flows_a = static_cast<int>(cli.natural("flows-a", 32));
+  const std::int64_t pool_bytes = cli.positive("pool-kb", 120) * 1000;
+  const int flows_a = static_cast<int>(cli.positive("flows-a", 32));
   if (cli.complain_unknown(cli.flag("strict"))) return 2;
 
   std::puts("Ablation — shared switch memory (chip-wide DT) vs per-port DynaQ partition");

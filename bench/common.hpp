@@ -117,10 +117,11 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // ---------------------------------------------------------------------------
 // Sweep-engine entry point shared by the fig binaries (DESIGN.md §7). Reads
 // the common sweep flags, fans the grid out over a worker pool, reports
-// failed jobs on stderr in job order, and writes the machine-readable JSON:
+// failed jobs on stderr in job order (any failed job makes the exit code 1),
+// and writes the machine-readable JSON:
 //
 //   --jobs N        worker threads (default: hardware concurrency)
-//   --strict        exit non-zero on job failures or unrecognized flags
+//   --strict        exit non-zero on unrecognized flags
 //   --json DIR      write <DIR>/<name>.json (sweep results schema)
 //   --bench-json P  additionally write the JSON to exactly P (perf trajectory)
 //
@@ -128,7 +129,7 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // unrecognized-flag complaints fire (harness::Cli::complain_unknown).
 struct SweepRun {
   sweep::ResultStore store;
-  int exit_code = 0;  // non-zero only under --strict
+  int exit_code = 0;  // 1 when a job failed or (under --strict) a flag was unrecognized
 };
 
 inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::SweepSpec spec,
@@ -155,7 +156,7 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
   if (!bench_json.empty() && store.write_json(bench_json)) {
     std::printf("wrote %s\n", bench_json.c_str());
   }
-  const int exit_code = strict && (bad_flags || !store.all_ok()) ? 1 : 0;
+  const int exit_code = (strict && bad_flags) || !store.all_ok() ? 1 : 0;
   return SweepRun{std::move(store), exit_code};
 }
 

@@ -12,7 +12,7 @@ using namespace dynaq;
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const bool full = cli.flag("full");
-  const auto duration = seconds(cli.natural("seconds", full ? 60 : 10));
+  const auto duration = seconds(cli.positive("seconds", full ? 60 : 10));
 
   harness::StaticExperimentConfig cfg;
   cfg.star = bench::testbed_star(core::SchemeKind::kBestEffort, /*num_hosts=*/5);

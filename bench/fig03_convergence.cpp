@@ -27,7 +27,7 @@ harness::StaticExperimentConfig experiment_config(core::SchemeKind kind, Time du
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto duration = seconds(cli.natural("seconds", 10));
+  const auto duration = seconds(cli.positive("seconds", 10));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const auto csv_dir = cli.text("csv", "");
   const auto jsonl_dir = cli.text("jsonl", "");

@@ -8,7 +8,7 @@ using namespace dynaq;
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
-  const auto samples = static_cast<std::size_t>(cli.natural("samples", 1000));
+  const auto samples = static_cast<std::size_t>(cli.positive("samples", 1000));
   const auto jsonl_dir = cli.text("jsonl", "");
 
   std::puts("Figure 4 — queue length evolution of 2 active DRR queues (equal weights)");

@@ -7,7 +7,7 @@ using namespace dynaq;
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto duration = seconds(cli.natural("seconds", 10));
+  const auto duration = seconds(cli.positive("seconds", 10));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   std::puts("Figure 6 — throughput share with queue weights 4:3:2:1, queue i has 2^i flows\n");

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kBestEffort, core::SchemeKind::kPql});
   sweep.loads = cli.reals("loads", full ? std::vector<double>{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
                                         : std::vector<double>{0.3, 0.5, 0.7});
-  sweep.flows = static_cast<std::size_t>(cli.natural("flows", full ? 10'000 : 1'500));
+  sweep.flows = static_cast<std::size_t>(cli.positive("flows", full ? 10'000 : 1'500));
   sweep.seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
   const auto csv_dir = cli.text("csv", "");
 

@@ -182,9 +182,9 @@ json::Value json_row(const Row& r) {
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const long events = cli.natural("events", 400'000);
-  const long fanout_width = cli.natural("fanout-width", 100'000);
-  const int reps = static_cast<int>(cli.natural("reps", 5));
+  const long events = cli.positive("events", 400'000);
+  const long fanout_width = cli.positive("fanout-width", 100'000);
+  const int reps = static_cast<int>(cli.positive("reps", 5));
   const bool assert_budget = cli.flag("assert-budget");
   const std::string json_path = cli.text("json", "");
 

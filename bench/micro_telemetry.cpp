@@ -69,8 +69,8 @@ double best_of(HubMode mode, long ops, int reps) {
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const long ops = cli.natural("ops", 2'000'000);
-  const int reps = static_cast<int>(cli.natural("reps", 5));
+  const long ops = cli.positive("ops", 2'000'000);
+  const int reps = static_cast<int>(cli.positive("reps", 5));
   const double budget_ns = static_cast<double>(cli.natural("assert-budget-ns", 0));
 
   std::puts("Telemetry fast-path overhead (DynaQ qdisc enqueue/dequeue hot loop)");

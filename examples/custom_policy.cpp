@@ -5,7 +5,7 @@
 // first-come-first-served, then races it against DynaQ, PQL and BestEffort
 // on the 2-vs-16-flows scenario. The point is the API: a policy implements
 // admit() (plus optional hooks), is plugged in through
-// SchemeSpec::custom_policy, and every topology/harness/bench in the
+// SchemeSpec::custom_policy_sim, and every topology/harness/bench in the
 // library can then run it.
 #include <cstdio>
 #include <memory>
@@ -90,10 +90,12 @@ int main() {
            harness::Table::num(q2), harness::Table::num(q1 + q2)});
   }
 
-  // ...and a user-defined policy goes through SchemeSpec::custom_policy.
+  // ...and a user-defined policy goes through SchemeSpec::custom_policy_sim.
   {
     auto cfg = experiment_config();
-    cfg.star.scheme.custom_policy = [] { return std::make_unique<ReserveHalfPolicy>(); };
+    cfg.star.scheme.custom_policy_sim = [](sim::Simulator&) {
+      return std::make_unique<ReserveHalfPolicy>();
+    };
     const auto r = harness::run_static_experiment(cfg);
     const double q1 = r.meter.mean_gbps(0, 2, r.meter.num_windows());
     const double q2 = r.meter.mean_gbps(1, 2, r.meter.num_windows());

@@ -46,12 +46,12 @@ int main(int argc, char** argv) {
   const auto scheme = core::parse_scheme(cli.text("scheme", "DynaQ"));
   const auto& dist = pick_workload(cli.text("workload", "websearch"));
   const double load = cli.real("load", 0.6);
-  const auto flows = static_cast<std::size_t>(cli.natural("flows", 2000));
+  const auto flows = static_cast<std::size_t>(cli.positive("flows", 2000));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   if (cli.flag("leaf-spine")) {
     harness::DynamicLeafSpineConfig cfg;
-    cfg.fabric.num_leaves = static_cast<int>(cli.natural("leaves", 4));
+    cfg.fabric.num_leaves = static_cast<int>(cli.positive("leaves", 4));
     cfg.fabric.num_spines = cfg.fabric.num_leaves;
     cfg.fabric.hosts_per_leaf = cfg.fabric.num_leaves;
     cfg.fabric.queue_weights.assign(8, 1.0);

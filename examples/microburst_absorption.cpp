@@ -78,8 +78,8 @@ stats::FctSummary run_burst(core::SchemeKind kind, int burst_flows, std::int64_t
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const int burst_flows = static_cast<int>(cli.natural("burst-flows", 6));
-  const std::int64_t burst_bytes = cli.natural("burst-kb", 8) * 1000;
+  const int burst_flows = static_cast<int>(cli.positive("burst-flows", 6));
+  const std::int64_t burst_bytes = cli.positive("burst-kb", 8) * 1000;
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
 
   std::printf("Microburst: %d x %lld KB responses into a buffer pinned by 16 bulk flows\n",

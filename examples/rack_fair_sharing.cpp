@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   const auto weights = cli.reals("weights", {1, 1, 1, 1});
   const auto flows = cli.reals("flows", {2, 4, 8, 16});
   const double rate_gbps = cli.real("rate-gbps", 1.0);
-  const auto buffer_kb = cli.natural("buffer-kb", 85);
-  const auto duration = seconds(cli.natural("seconds", 5));
+  const auto buffer_kb = cli.positive("buffer-kb", 85);
+  const auto duration = seconds(cli.positive("seconds", 5));
 
   if (weights.size() != flows.size()) {
     std::fprintf(stderr, "--weights and --flows must have the same length\n");

@@ -47,8 +47,7 @@ bool MqEcnMarker::mark_on_enqueue(const net::MqState& state, int q, const net::P
 
   const double rate_share =
       std::min(quantum_q * 8.0 / to_seconds(t_round_), cfg_.capacity_bps);  // bits/s
-  const auto k_i = static_cast<std::int64_t>(rate_share * to_seconds(cfg_.rtt) *
-                                             cfg_.lambda / 8.0);
+  const auto k_i = static_cast<std::int64_t>(rate_share * to_seconds(cfg_.rtt) / 8.0);
   return state.queue(q).bytes + p.size > k_i;
 }
 

@@ -16,7 +16,6 @@ struct EcnConfig {
   std::int64_t port_threshold_bytes = 0;  // K
   double capacity_bps = 0.0;              // C  (MQ-ECN only)
   Time rtt = 0;                           // base RTT (MQ-ECN only)
-  double lambda = 1.0;                    // transport coefficient λ (MQ-ECN only)
   std::int64_t quantum_base = 1500;       // DRR quantum for weight 1 (MQ-ECN only)
   Time sojourn_threshold = 0;             // TCN: T = RTT·λ (e.g. 240 µs)
 };
@@ -60,11 +59,12 @@ class TcnEcnMarker final : public net::EcnMarker {
   EcnConfig cfg_;
 };
 
-// MQ-ECN (Bai et al., NSDI'16): K_i = min(quantum_i/T_round, C)·RTT·λ where
-// T_round is the (smoothed) time for the round-robin scheduler to serve
-// every active queue once. We estimate T_round analytically from the
-// backlogged set — Σ_active quantum_j · 8 / C — with an EWMA, which matches
-// the published scheme's steady state without instrumenting the scheduler.
+// MQ-ECN (Bai et al., NSDI'16): K_i = min(quantum_i/T_round, C)·RTT·λ with
+// λ = 1 (DCTCP's coefficient), where T_round is the (smoothed) time for the
+// round-robin scheduler to serve every active queue once. We estimate
+// T_round analytically from the backlogged set — Σ_active quantum_j · 8 / C
+// — with an EWMA, which matches the published scheme's steady state without
+// instrumenting the scheduler.
 class MqEcnMarker final : public net::EcnMarker {
  public:
   explicit MqEcnMarker(EcnConfig cfg) : cfg_(cfg) {}

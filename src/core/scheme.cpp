@@ -47,7 +47,6 @@ bool scheme_uses_ecn(SchemeKind kind) {
 }
 
 std::unique_ptr<net::BufferPolicy> make_policy(const SchemeSpec& spec) {
-  if (spec.custom_policy) return spec.custom_policy();
   switch (spec.kind) {
     case SchemeKind::kDynaQ:
       return std::make_unique<DynaQPolicy>(spec.dynaq);

@@ -44,14 +44,11 @@ struct SchemeSpec {
   EcnConfig ecn;                     // for the ECN-based kinds
   double dt_alpha = 1.0;             // kDynamicThreshold
   DynaQPolicy::Options dynaq;        // ablation knobs for kDynaQ
-  // User extension point: when set, this factory supplies the buffer
-  // policy instead of `kind` (one instance per switch port). `kind` still
-  // selects the ECN marker, if any.
-  std::function<std::unique_ptr<net::BufferPolicy>()> custom_policy;
-  // Simulator-aware variant for policies that schedule their own events —
-  // the dynaq::ctrlplane control-plane shim needs the port's simulator to
-  // run its update/watchdog timers. Only honored by make_mq_qdisc (which
-  // owns a simulator); takes precedence over custom_policy.
+  // User extension point: when set, make_mq_qdisc calls this factory for
+  // the buffer policy instead of building one from `kind` (one instance per
+  // switch port). `kind` still selects the ECN marker, if any. The factory
+  // gets the port's simulator, so a policy may schedule its own events —
+  // the dynaq::ctrlplane shim runs its update/watchdog timers on it.
   std::function<std::unique_ptr<net::BufferPolicy>(sim::Simulator&)> custom_policy_sim;
   // Wrap the policy in check::AuditedBufferPolicy so every admission/
   // eviction/rollback is verified against the buffer-policy contract
@@ -61,8 +58,8 @@ struct SchemeSpec {
   check::AuditOptions audit_options;
 };
 
-// Builds the buffer policy for `spec` (BestEffort for all pure-ECN schemes,
-// since they manage a shared buffer and only differ in marking).
+// Builds the buffer policy for `spec.kind` (BestEffort for all pure-ECN
+// schemes, since they manage a shared buffer and only differ in marking).
 std::unique_ptr<net::BufferPolicy> make_policy(const SchemeSpec& spec);
 
 // Builds the ECN marker for `spec`, or nullptr for drop-based schemes.

@@ -76,11 +76,11 @@ bool ControlPlanePolicy::admit(const net::MqState& state, int q, const net::Pack
 }
 
 bool ControlPlanePolicy::admit_dt(const net::MqState& state, int q, const net::Packet& p) {
-  // Classic Dynamic Thresholds (core::DynamicThresholdPolicy's rule): the
-  // data plane can evaluate it from local state alone, which is exactly why
-  // it is the failover scheme.
+  // Classic Dynamic Thresholds (core::DynamicThresholdPolicy's rule) with
+  // alpha = 1: the data plane can evaluate it from local state alone, which
+  // is exactly why it is the failover scheme.
   const double free_buffer = static_cast<double>(state.buffer_bytes - state.port_bytes);
-  const auto threshold = static_cast<std::int64_t>(config_.failover_dt_alpha * free_buffer);
+  const auto threshold = static_cast<std::int64_t>(free_buffer);
   return state.queue(q).bytes + p.size <= threshold;
 }
 
@@ -133,11 +133,10 @@ bool ControlPlanePolicy::enforces_thresholds() const {
 }
 
 Time ControlPlanePolicy::threshold_staleness_bound() const {
-  if (config_.staleness_bound > 0) return config_.staleness_bound;
   if (!async()) return 0;  // inline DynaQ never drifts — keep the strict contract
-  // Auto bound: a reconfiguration is re-balanced by the next periodic update
-  // (one period + delay), surviving one lost update (a second period), and
-  // in the worst case rides through a watchdog failover/restore cycle.
+  // A reconfiguration is re-balanced by the next periodic update (one
+  // period + delay), surviving one lost update (a second period), and in
+  // the worst case rides through a watchdog failover/restore cycle.
   return 2 * (config_.update_period + config_.update_delay) + config_.watchdog_deadline;
 }
 

@@ -56,15 +56,8 @@ struct ControlPlaneConfig {
   // data plane declares the controller dead when no update committed for
   // this long, so it must comfortably exceed update_period + update_delay.
   Time watchdog_deadline = 0;
-  // alpha of the Dynamic-Thresholds rule enforced while failed over.
-  double failover_dt_alpha = 1.0;
   // Seed of the control-channel loss stream (independent of model RNG).
   std::uint64_t seed = 1;
-  // Bound declared to the invariant auditor for how long ΣT may drift from
-  // B after a reconfiguration before the drift is a contract violation.
-  // 0 = auto: 2·(update_period + update_delay) + watchdog_deadline in
-  // async mode, strict (0) in inline mode.
-  Time staleness_bound = 0;
 };
 
 class ControlPlanePolicy final : public net::BufferPolicy {

@@ -5,7 +5,8 @@
 // (--seeed=3 used to be silently ignored). Numeric accessors accept only a
 // value that parses completely: --flows=4x, --seeds=abc or a bare --flows
 // print an error naming the flag and exit with status 2, as do a seed that
-// is negative or fractional (--seeds=1.5) and a bare text flag (--csv).
+// is negative or fractional (--seeds=1.5), a count, size or duration of 0
+// (--flows=0) and a bare text flag (--csv).
 #pragma once
 
 #include <charconv>
@@ -67,6 +68,14 @@ class Cli {
   std::int64_t natural(const std::string& name, std::int64_t fallback) const {
     const std::int64_t out = integer(name, fallback);
     if (out < 0) reject(name, std::to_string(out), "a non-negative integer");
+    return out;
+  }
+
+  // A positive integer: a count, size or duration, e.g. --flows. Zero would
+  // run an empty experiment and report its metrics as 0.
+  std::int64_t positive(const std::string& name, std::int64_t fallback) const {
+    const std::int64_t out = natural(name, fallback);
+    if (out == 0) reject(name, "0", "a positive integer");
     return out;
   }
 

@@ -91,11 +91,10 @@ class BernoulliLossQueue final : public QueueDisc {
   BernoulliLossQueue(double loss_rate, std::uint64_t seed, std::int64_t capacity_bytes = 0)
       : loss_rate_(loss_rate), rng_(seed), inner_(capacity_bytes) {}
 
-  // Scripts the loss probability at runtime (scenario loss_window actions
-  // schedule a set at the window start and a reset to 0 at its end,
-  // DESIGN.md §11). The RNG stream keeps advancing one draw per data
-  // packet regardless of the rate, so two runs that flip the rate at the
-  // same instants see identical draws — determinism is per --seed.
+  // Changes the loss probability at runtime. The RNG stream keeps
+  // advancing one draw per data packet regardless of the rate, so two runs
+  // that flip the rate at the same instants see identical draws —
+  // determinism is per seed.
   void set_loss_rate(double loss_rate) { loss_rate_ = loss_rate; }
   double loss_rate() const { return loss_rate_; }
 

@@ -80,18 +80,6 @@ Scenario incast(const ScenarioParams& p) {
   return s;
 }
 
-Scenario loss_burst(const ScenarioParams& p) {
-  // A lossy-cable episode: raise the registered loss queue's rate for a
-  // quarter of the run starting at 3/8.
-  Scenario s{"loss_burst", {}};
-  Action w = at(p.duration * 3 / 8, ActionKind::kLossWindow);
-  w.target = p.loss;
-  w.loss_rate = p.loss_burst_rate;
-  w.duration = p.duration / 4;
-  s.actions.push_back(std::move(w));
-  return s;
-}
-
 Scenario buffer_squeeze(const ScenarioParams& p) {
   // Halve the bottleneck buffer at 3/8, restore at 6/8 — §III-B3's resize
   // path exercised mid-run in both directions.
@@ -178,9 +166,9 @@ Scenario control_loss_window(const ScenarioParams& p) {
 
 std::vector<std::string> scenario_names() {
   return {"none",           "weight_churn",     "link_flap",
-          "service_churn",  "incast",           "loss_burst",
-          "buffer_squeeze", "mixed",            "controller_stall",
-          "controller_crash", "control_loss_window"};
+          "service_churn",  "incast",           "buffer_squeeze",
+          "mixed",          "controller_stall", "controller_crash",
+          "control_loss_window"};
 }
 
 std::string_view scenario_description(std::string_view name) {
@@ -190,7 +178,6 @@ std::string_view scenario_description(std::string_view name) {
   if (name == "link_flap") return "two down/up outage cycles on the bottleneck link (eighths 2 and 5)";
   if (name == "service_churn") return "one service queue leaves at 2/8 and rejoins at 5/8";
   if (name == "incast") return "synchronized fan-in of short flows into queue 0 at mid-run";
-  if (name == "loss_burst") return "lossy-cable window: raised loss rate for a quarter of the run from 3/8";
   if (name == "buffer_squeeze") return "halve the bottleneck buffer at 3/8, restore it at 6/8";
   if (name == "mixed") return "kitchen sink: weight favor, link flap and incast in one run";
   if (name == "controller_stall")
@@ -210,7 +197,6 @@ Scenario make_scenario(std::string_view name, const ScenarioParams& params) {
   if (name == "link_flap") return link_flap(params);
   if (name == "service_churn") return service_churn(params);
   if (name == "incast") return incast(params);
-  if (name == "loss_burst") return loss_burst(params);
   if (name == "buffer_squeeze") return buffer_squeeze(params);
   if (name == "mixed") return mixed(params);
   if (name == "controller_stall") return controller_stall(params);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "ctrlplane/control_plane.hpp"
-#include "net/fault_injection.hpp"
 #include "net/multi_queue_qdisc.hpp"
 #include "net/port.hpp"
 #include "telemetry/hub.hpp"
@@ -46,10 +45,6 @@ void ScenarioDirector::register_qdisc(const std::string& name, net::MultiQueueQd
 
 void ScenarioDirector::register_link(const std::string& name, net::Port& port) {
   links_[name] = &port;
-}
-
-void ScenarioDirector::register_loss(const std::string& name, net::BernoulliLossQueue& queue) {
-  losses_[name] = &queue;
 }
 
 void ScenarioDirector::register_ctrlplane(const std::string& name,
@@ -120,14 +115,6 @@ void ScenarioDirector::validate(const Action& a, std::size_t idx) const {
       if (a.queue < 0) reject(a, idx, "incast needs a target service queue");
       break;
     }
-    case ActionKind::kLossWindow: {
-      if (!losses_.contains(a.target)) {
-        reject(a, idx, "unknown loss queue '" + a.target + "' (known: " + known_keys(losses_) + ")");
-      }
-      if (a.loss_rate < 0.0 || a.loss_rate > 1.0) reject(a, idx, "loss rate must be in [0, 1]");
-      if (a.duration <= 0) reject(a, idx, "loss window needs a positive duration");
-      break;
-    }
     case ActionKind::kControllerStall:
     case ActionKind::kControllerCrash:
     case ActionKind::kControlLossWindow: {
@@ -161,10 +148,6 @@ void ScenarioDirector::arm(const Scenario& scenario) {
   static_assert(sizeof(ScenarioDirector*) + sizeof(std::size_t) <= sim::kEventInlineBytes);
   for (std::size_t i = 0; i < actions_.size(); ++i) {
     sim_.schedule_at(actions_[i].at, [this, i] { apply(i); });
-    if (actions_[i].kind == ActionKind::kLossWindow) {
-      sim_.schedule_at(actions_[i].at + actions_[i].duration,
-                       [this, i] { end_loss_window(i); });
-    }
     if (actions_[i].kind == ActionKind::kControlLossWindow) {
       sim_.schedule_at(actions_[i].at + actions_[i].duration,
                        [this, i] { end_control_loss_window(i); });
@@ -207,10 +190,6 @@ void ScenarioDirector::apply(std::size_t idx) {
       launch_incast_(a);
       payload = a.count;
       break;
-    case ActionKind::kLossWindow:
-      losses_.at(a.target)->set_loss_rate(a.loss_rate);
-      payload = static_cast<std::int64_t>(a.loss_rate * 1e6);
-      break;
     case ActionKind::kControllerStall:
       ctrlplanes_.at(a.target)->stall_for(a.duration);
       payload = static_cast<std::int64_t>(to_microseconds(a.duration));
@@ -226,13 +205,6 @@ void ScenarioDirector::apply(std::size_t idx) {
   }
   ++applied_;
   emit(a, idx, payload);
-}
-
-void ScenarioDirector::end_loss_window(std::size_t idx) {
-  const Action& a = actions_[idx];
-  losses_.at(a.target)->set_loss_rate(0.0);
-  ++applied_;
-  emit(a, idx, 0);
 }
 
 void ScenarioDirector::end_control_loss_window(std::size_t idx) {

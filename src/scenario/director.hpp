@@ -4,7 +4,7 @@
 // 11), so every mutation goes through the same audited entry points tests
 // and operators use (MultiQueueQdisc::set_weights / resize_buffer,
 // Port::set_link_down / set_link_up / set_rate, FlowSender::pause /
-// resume, BernoulliLossQueue::set_loss_rate).
+// resume, ControlPlanePolicy's fault handles).
 //
 // Determinism: arm() schedules one inline closure per action at its fixed
 // timestamp through the allocation-free event engine; ties against model
@@ -27,7 +27,6 @@ namespace dynaq::ctrlplane {
 class ControlPlanePolicy;
 }
 namespace dynaq::net {
-class BernoulliLossQueue;
 class MultiQueueQdisc;
 class Port;
 }  // namespace dynaq::net
@@ -57,7 +56,6 @@ class ScenarioDirector {
   // names ("sw.p0", "h1.nic", ...) so scenarios and dashboards agree.
   void register_qdisc(const std::string& name, net::MultiQueueQdisc& qdisc);
   void register_link(const std::string& name, net::Port& port);
-  void register_loss(const std::string& name, net::BernoulliLossQueue& queue);
   // Control-plane shims (DESIGN.md §14): controller_stall / controller_crash
   // / control_loss_window act only through the shim's fault handles —
   // conventions rule 14 bans any other controller mutation path.
@@ -72,18 +70,18 @@ class ScenarioDirector {
   // Validates every action against the registered handles (throwing
   // std::invalid_argument with the offending index on any unresolvable
   // target or malformed field) and schedules the timeline. May be called
-  // once; a kLossWindow action schedules both its start and its end.
+  // once; a kControlLossWindow action schedules both its start and its end.
   void arm(const Scenario& scenario);
 
   const std::string& scenario_name() const { return name_; }
   std::size_t actions_armed() const { return actions_.size(); }
-  // Mutations applied so far (a loss window counts twice: raise + restore).
+  // Mutations applied so far (a control loss window counts twice: raise +
+  // restore).
   std::uint64_t actions_applied() const { return applied_; }
 
  private:
   void validate(const Action& a, std::size_t idx) const;
   void apply(std::size_t idx);
-  void end_loss_window(std::size_t idx);
   void end_control_loss_window(std::size_t idx);
   void emit(const Action& a, std::size_t idx, std::int64_t payload);
   [[noreturn]] void reject(const Action& a, std::size_t idx, const std::string& why) const;
@@ -98,7 +96,6 @@ class ScenarioDirector {
   // maps keep error listings and any future iteration deterministic.
   std::map<std::string, net::MultiQueueQdisc*> qdiscs_;
   std::map<std::string, net::Port*> links_;
-  std::map<std::string, net::BernoulliLossQueue*> losses_;
   std::map<std::string, ctrlplane::ControlPlanePolicy*> ctrlplanes_;
   std::map<int, std::vector<transport::FlowSender*>> senders_;
   std::function<void(const Action&)> launch_incast_;

@@ -1,7 +1,8 @@
 // Declarative mid-run timelines (DESIGN.md §11): a Scenario is a list of
 // timestamped actions — weight rebalances, service churn, link faults,
-// buffer resizes, incast bursts, loss windows — that a ScenarioDirector
-// replays against registered component handles while an experiment runs.
+// buffer resizes, incast bursts, control-plane faults — that a
+// ScenarioDirector replays against registered component handles while an
+// experiment runs.
 // Scenarios are plain data: building one performs no side effects, so the
 // same Scenario value can drive any number of simulator instances.
 #pragma once
@@ -24,14 +25,14 @@ enum class ActionKind : std::uint8_t {
   kLinkUp = 5,          // restore a cut link
   kBufferResize = 6,    // rewrite a qdisc's buffer size B
   kIncastBurst = 7,     // launch N synchronized short flows into one queue
-  kLossWindow = 8,      // raise a loss queue's rate for a bounded window
+  // Value 8 is retired. ScenarioDirector::emit folds each kind's value into
+  // the trajectory hash, so the kinds below keep their numbers.
   // Control-plane faults (dynaq::ctrlplane, DESIGN.md §14); targets are
   // registered ControlPlanePolicy handles ("sw.p0.ctrl").
   kControllerStall = 9,     // controller unresponsive for `duration` (state kept)
   kControllerCrash = 10,    // controller down for `duration` (state lost)
   kControlLossWindow = 11,  // raise control-channel loss for a bounded window
 };
-inline constexpr std::size_t kNumActionKinds = 12;
 
 constexpr std::string_view action_kind_name(ActionKind kind) {
   switch (kind) {
@@ -43,7 +44,6 @@ constexpr std::string_view action_kind_name(ActionKind kind) {
     case ActionKind::kLinkUp: return "link_up";
     case ActionKind::kBufferResize: return "buffer_resize";
     case ActionKind::kIncastBurst: return "incast_burst";
-    case ActionKind::kLossWindow: return "loss_window";
     case ActionKind::kControllerStall: return "controller_stall";
     case ActionKind::kControllerCrash: return "controller_crash";
     case ActionKind::kControlLossWindow: return "control_loss_window";
@@ -56,14 +56,14 @@ constexpr std::string_view action_kind_name(ActionKind kind) {
 struct Action {
   Time at = 0;                  // absolute simulation time
   ActionKind kind = ActionKind::kWeightUpdate;
-  std::string target;           // registered handle name (qdisc / link / loss)
+  std::string target;           // registered handle name (qdisc / link / ctrl)
   int queue = -1;               // service queue (join/leave/incast)
   std::vector<double> weights;  // weight_update: one positive weight per queue
   double rate_bps = 0.0;        // link_rate_change
   std::int64_t bytes = 0;       // buffer_resize: new B; incast_burst: flow size
   int count = 0;                // incast_burst: number of synchronized flows
-  double loss_rate = 0.0;       // loss_window / control_loss_window: probability
-  Time duration = 0;            // loss_window / controller faults: window length
+  double loss_rate = 0.0;       // control_loss_window: probability
+  Time duration = 0;            // controller faults: window length
 };
 
 struct Scenario {
@@ -79,12 +79,10 @@ struct ScenarioParams {
   int num_queues = 4;
   std::string qdisc = "sw.p0";  // weight_update / buffer_resize target
   std::string link = "sw.p0";   // link fault target
-  std::string loss;             // loss-queue handle (loss_burst only)
   std::int64_t buffer_bytes = 85'000;  // restore point for buffer_squeeze
   int churn_queue = -1;         // service_churn queue; -1 = last queue
   int incast_fanin = 16;
   std::int64_t incast_bytes = 20'000;
-  double loss_burst_rate = 0.02;
   // Control-plane fault targets (DESIGN.md §14): the ControlPlanePolicy
   // handle at the bottleneck and the channel loss rate the
   // control_loss_window timeline raises.
@@ -93,7 +91,7 @@ struct ScenarioParams {
 };
 
 // Builds one of the named scenarios ("none", "weight_churn", "link_flap",
-// "service_churn", "incast", "loss_burst", "buffer_squeeze", "mixed",
+// "service_churn", "incast", "buffer_squeeze", "mixed",
 // "controller_stall", "controller_crash", "control_loss_window").
 // Throws std::invalid_argument listing the known names when `name` is not
 // one of them — bench binaries surface that as a clean usage error.

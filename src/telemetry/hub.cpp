@@ -13,8 +13,7 @@ Hub::Hub(sim::Simulator& sim, HubConfig config)
       enabled_(config.enabled),
       fingerprint_events_(config.fingerprint),
       fingerprint_(sim::kFnv1aOffset),
-      ring_(config.ring_capacity),
-      max_delay_queues_(config.max_delay_queues) {}
+      ring_(config.ring_capacity) {}
 
 int Hub::register_port(const std::string& name) {
   const auto [it, added] = port_ids_.try_emplace(name, static_cast<int>(port_names_.size()));
@@ -99,8 +98,9 @@ void Hub::emit_wire(WireRecord w) {
 }
 
 void Hub::record_queue_delay(int queue, Time delay) {
+  constexpr std::size_t kMaxDelayQueues = 64;
   const auto q = static_cast<std::size_t>(queue);
-  if (queue < 0 || q >= max_delay_queues_) return;
+  if (queue < 0 || q >= kMaxDelayQueues) return;
   if (q >= delay_hist_.size()) delay_hist_.resize(q + 1);
   delay_hist_[q].record(delay);
 }

@@ -35,18 +35,16 @@ struct QueueSample {
 };
 
 // Bounded occupancy time series with the paper's "skip then keep K
-// sequential samples" cadence, plus an optional minimum time gap turning
-// the event-driven cadence into a time-driven one.
+// sequential samples" cadence.
 class QueueSeries {
  public:
-  explicit QueueSeries(std::size_t capacity = 0, std::size_t skip = 0, Time min_gap = 0)
-      : capacity_(capacity), skip_(skip), min_gap_(min_gap) {}
+  explicit QueueSeries(std::size_t capacity = 0, std::size_t skip = 0)
+      : capacity_(capacity), skip_(skip) {}
 
   void record(Time when, std::vector<std::int64_t> queue_bytes,
               std::vector<std::int64_t> thresholds = {}) {
     if (seen_++ < skip_) return;
     if (samples_.size() >= capacity_) return;
-    if (min_gap_ > 0 && !samples_.empty() && when - samples_.back().when < min_gap_) return;
     samples_.push_back(QueueSample{when, std::move(queue_bytes), std::move(thresholds)});
   }
 
@@ -57,7 +55,6 @@ class QueueSeries {
  private:
   std::size_t capacity_;
   std::size_t skip_;
-  Time min_gap_;
   std::size_t seen_ = 0;
   std::vector<QueueSample> samples_;
 };
@@ -65,7 +62,6 @@ class QueueSeries {
 struct HubConfig {
   bool enabled = true;
   std::size_t ring_capacity = 4096;  // newest events kept; older overwritten
-  std::size_t max_delay_queues = 64;  // per-queue delay histograms allocated lazily
   // Fold every emitted event into an FNV-1a trajectory fingerprint
   // (DESIGN.md §10): one guarded branch inside emit(), allocation-free.
   // check::TrajectoryHash combines this with the engine's pop-stream digest
@@ -113,7 +109,8 @@ class Hub {
 
   // ---- per-queue queueing delay -------------------------------------------
   // Recorded by qdiscs at dequeue (sojourn time, picoseconds). Histograms
-  // are allocated on the first record per queue index.
+  // are allocated on the first record per queue index; indices from 64 up
+  // are not recorded.
   void record_queue_delay(int queue, Time delay);
   // Highest queue index recorded so far + 1 (0 when none).
   std::size_t num_delay_queues() const { return delay_hist_.size(); }
@@ -122,8 +119,8 @@ class Hub {
   }
 
   // ---- occupancy time series ----------------------------------------------
-  void enable_queue_sampling(std::size_t capacity, std::size_t skip = 0, Time min_gap = 0) {
-    series_ = QueueSeries(capacity, skip, min_gap);
+  void enable_queue_sampling(std::size_t capacity, std::size_t skip = 0) {
+    series_ = QueueSeries(capacity, skip);
   }
   bool sampling_active() const { return enabled_ && series_.active(); }
   void sample(Time when, std::span<const std::int64_t> occupancy,
@@ -161,7 +158,6 @@ class Hub {
   std::uint64_t control_failovers_ = 0;
   std::uint64_t control_restores_ = 0;
 
-  std::size_t max_delay_queues_;
   std::vector<LogHistogram> delay_hist_;  // indexed by service queue
   QueueSeries series_;
 };

@@ -15,6 +15,10 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Folded into every flow id before mixing. Changing it moves flows to
+// other spines, and with them every leaf-spine trajectory.
+constexpr std::uint64_t kEcmpSalt = 0x9e3779b97f4a7c15ULL;
+
 }  // namespace
 
 std::unique_ptr<net::MultiQueueQdisc> LeafSpineTopology::new_qdisc() {
@@ -23,7 +27,7 @@ std::unique_ptr<net::MultiQueueQdisc> LeafSpineTopology::new_qdisc() {
 }
 
 int LeafSpineTopology::ecmp_spine(std::uint32_t flow) const {
-  return static_cast<int>(mix64(flow ^ config_.ecmp_salt) %
+  return static_cast<int>(mix64(flow ^ kEcmpSalt) %
                           static_cast<std::uint64_t>(config_.num_spines));
 }
 
@@ -51,9 +55,8 @@ LeafSpineTopology::LeafSpineTopology(sim::Simulator& sim, LeafSpineConfig config
       auto qdisc = new_qdisc();
       down_qdiscs_.push_back(qdisc.get());
       all_qdiscs_.push_back(qdisc.get());
-      auto port = std::make_unique<net::Port>(
-          sim_, config_.link_rate_bps * config_.egress_rate_factor, config_.link_delay,
-          std::move(qdisc));
+      auto port = std::make_unique<net::Port>(sim_, config_.link_rate_bps, config_.link_delay,
+                                              std::move(qdisc));
       net::Port& port_ref = *port;
       leaves_[static_cast<std::size_t>(l)]->add_port(std::move(port));
       net::connect(nic_ref, port_ref);
@@ -65,17 +68,15 @@ LeafSpineTopology::LeafSpineTopology(sim::Simulator& sim, LeafSpineConfig config
     for (int s = 0; s < config_.num_spines; ++s) {
       auto up_qdisc = new_qdisc();
       all_qdiscs_.push_back(up_qdisc.get());
-      auto up = std::make_unique<net::Port>(
-          sim_, config_.link_rate_bps * config_.egress_rate_factor, config_.link_delay,
-          std::move(up_qdisc));
+      auto up = std::make_unique<net::Port>(sim_, config_.link_rate_bps, config_.link_delay,
+                                            std::move(up_qdisc));
       net::Port& up_ref = *up;
       leaves_[static_cast<std::size_t>(l)]->add_port(std::move(up));
 
       auto down_qdisc = new_qdisc();
       all_qdiscs_.push_back(down_qdisc.get());
-      auto down = std::make_unique<net::Port>(
-          sim_, config_.link_rate_bps * config_.egress_rate_factor, config_.link_delay,
-          std::move(down_qdisc));
+      auto down = std::make_unique<net::Port>(sim_, config_.link_rate_bps, config_.link_delay,
+                                              std::move(down_qdisc));
       net::Port& down_ref = *down;
       spines_[static_cast<std::size_t>(s)]->add_port(std::move(down));
 

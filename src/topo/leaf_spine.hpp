@@ -29,15 +29,12 @@ struct LeafSpineConfig {
   // traversals (host→leaf→spine→leaf→host and back). The paper's 85.2 µs
   // base RTT gives 10.65 µs per link.
   Time link_delay = nanoseconds(10'650);
-  // Optional egress shaping factor; see StarConfig::egress_rate_factor.
-  double egress_rate_factor = 1.0;
   std::int64_t buffer_bytes = 192'000;  // Broadcom Trident+ class, per port
   std::int64_t host_queue_bytes = 1'500'000;  // finite sender NIC queue (see StarConfig)
   std::vector<double> queue_weights = {1, 1, 1, 1, 1, 1, 1, 1};
   core::SchemeSpec scheme;
   SchedulerKind scheduler = SchedulerKind::kSpqOverDrr;
   std::int64_t quantum_base = 1500;
-  std::uint64_t ecmp_salt = 0x9e3779b97f4a7c15ULL;
 };
 
 class LeafSpineTopology {

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "ctrlplane/control_plane.hpp"
-#include "net/fault_injection.hpp"
 #include "scenario/director.hpp"
 
 namespace dynaq::topo {
@@ -14,22 +13,10 @@ StarTopology::StarTopology(sim::Simulator& sim, StarConfig config)
 
   for (int h = 0; h < config_.num_hosts; ++h) {
     // Host NIC: finite drop-tail (the testbed's qdisc rate-limits just
-    // below line rate so host-side buffering never drops). With lossy_nics
-    // the queue is a rate-0 Bernoulli loss wrapper instead, giving scenario
-    // loss windows a scriptable handle.
-    std::unique_ptr<net::QueueDisc> nic_queue;
-    if (config_.lossy_nics) {
-      auto lossy = std::make_unique<net::BernoulliLossQueue>(
-          0.0, config_.nic_loss_seed + static_cast<std::uint64_t>(h),
-          config_.host_queue_bytes);
-      nic_loss_.push_back(lossy.get());
-      nic_queue = std::move(lossy);
-    } else {
-      nic_loss_.push_back(nullptr);
-      nic_queue = std::make_unique<net::DropTailQueue>(config_.host_queue_bytes);
-    }
-    auto nic = std::make_unique<net::Port>(sim_, config_.link_rate_bps, config_.link_delay,
-                                           std::move(nic_queue));
+    // below line rate so host-side buffering never drops).
+    auto nic = std::make_unique<net::Port>(
+        sim_, config_.link_rate_bps, config_.link_delay,
+        std::make_unique<net::DropTailQueue>(config_.host_queue_bytes));
     net::Port& nic_ref = *nic;
     hosts_.push_back(std::make_unique<net::Host>(sim_, h, std::move(nic)));
     agents_.push_back(std::make_unique<transport::HostAgent>(*hosts_.back()));
@@ -40,9 +27,8 @@ StarTopology::StarTopology(sim::Simulator& sim, StarConfig config)
                                      config_.scheme,
                                      make_scheduler(config_.scheduler, config_.quantum_base));
     port_qdiscs_.push_back(qdisc.get());
-    auto port = std::make_unique<net::Port>(
-        sim_, config_.link_rate_bps * config_.egress_rate_factor, config_.link_delay,
-        std::move(qdisc));
+    auto port = std::make_unique<net::Port>(sim_, config_.link_rate_bps, config_.link_delay,
+                                            std::move(qdisc));
     net::Port& port_ref = *port;
     const int idx = switch_->add_port(std::move(port));
     (void)idx;
@@ -60,9 +46,6 @@ void StarTopology::register_scenario_handles(scenario::ScenarioDirector& directo
     director.register_qdisc(sw, port_qdisc(i));
     director.register_link(sw, fabric().port(i));
     director.register_link(nic, host(i).nic());
-    if (nic_loss_[static_cast<std::size_t>(i)] != nullptr) {
-      director.register_loss(nic, *nic_loss_[static_cast<std::size_t>(i)]);
-    }
     // Control-plane shim handle (DESIGN.md §14), present only when the
     // scheme installed one (possibly under the audit decorator).
     if (ctrlplane::ControlPlanePolicy* shim =

@@ -14,9 +14,6 @@
 #include "topo/scheduler_factory.hpp"
 #include "transport/host_agent.hpp"
 
-namespace dynaq::net {
-class BernoulliLossQueue;
-}
 namespace dynaq::scenario {
 class ScenarioDirector;
 }
@@ -29,12 +26,6 @@ struct StarConfig {
   // One-way propagation delay per link. The base RTT is 4× this value
   // (host→switch→host and back) plus serialization.
   Time link_delay = microseconds(std::int64_t{125});
-  // Optional switch egress shaping factor (the testbed shaped its qdisc to
-  // 99.5% of NIC capacity). With equal host/switch rates the ACK-clocked
-  // standing queue already forms at the switch egress, so the default is
-  // 1.0; shaving the egress rate instead migrates the standing queue to the
-  // sender NIC, hiding the buffer policy under test.
-  double egress_rate_factor = 1.0;
   std::int64_t buffer_bytes = 85'000;        // per switch egress port
   // Finite host NIC queue (Linux txqueuelen-style). Without it, slow-start
   // overshoot accumulates unbounded at the sender and the switch buffer
@@ -44,12 +35,6 @@ struct StarConfig {
   core::SchemeSpec scheme;
   SchedulerKind scheduler = SchedulerKind::kDrr;
   std::int64_t quantum_base = 1500;
-  // Replace every host NIC queue with a runtime-scriptable Bernoulli loss
-  // queue (initial rate 0 — transparent until a scenario loss_window raises
-  // it, DESIGN.md §11). Draws are seeded per host from nic_loss_seed so
-  // loss placement stays a pure function of the configuration.
-  bool lossy_nics = false;
-  std::uint64_t nic_loss_seed = 0x10552ULL;
 };
 
 class StarTopology {
@@ -66,12 +51,8 @@ class StarTopology {
   net::MultiQueueQdisc& port_qdisc(int i) { return *port_qdiscs_[static_cast<std::size_t>(i)]; }
   const std::vector<net::MultiQueueQdisc*>& all_qdiscs() const { return port_qdiscs_; }
 
-  // Host i's NIC loss queue, or nullptr unless config.lossy_nics is set.
-  net::BernoulliLossQueue* nic_loss(int i) { return nic_loss_[static_cast<std::size_t>(i)]; }
-
   // Registers every mutable handle with a scenario director (DESIGN.md
-  // §11): qdisc and switch-egress link "sw.p<i>", host NIC link (and, when
-  // lossy, loss queue) "h<i>.nic".
+  // §11): qdisc and switch-egress link "sw.p<i>", host NIC link "h<i>.nic".
   void register_scenario_handles(scenario::ScenarioDirector& director);
 
   const StarConfig& config() const { return config_; }
@@ -83,7 +64,6 @@ class StarTopology {
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<transport::HostAgent>> agents_;
   std::vector<net::MultiQueueQdisc*> port_qdiscs_;  // owned by the switch ports
-  std::vector<net::BernoulliLossQueue*> nic_loss_;  // owned by the host NICs; null when not lossy
 };
 
 }  // namespace dynaq::topo

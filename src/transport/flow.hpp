@@ -22,22 +22,8 @@ struct FlowParams {
 
   int service_queue = 0;  // DSCP class → switch service queue
   CcKind cc = CcKind::kNewReno;
-  // Selective acknowledgements (on by default, as in Linux and the ns-2
-  // Sack1/TCP-Linux agents DCN studies use). Without SACK the sender falls
-  // back to classic NewReno partial-ACK recovery.
-  bool sack = true;
   std::int32_t mss = net::kDefaultMss;
-  double initial_cwnd_packets = 10.0;  // RFC 6928
   Time rto_min = milliseconds(std::int64_t{10});
-  // Socket-buffer cap on the congestion window (Linux tcp_wmem/rmem); 0 =
-  // unlimited. Bounds slow-start overshoot the way a real kernel does.
-  std::int64_t max_window_bytes = 0;
-  // Delayed ACKs (RFC 1122): acknowledge every 2nd segment, or after
-  // `delayed_ack_timeout` for a lone segment. The paper's testbed behaves
-  // per-packet (LSO/LRO off, DCTCP-style immediate echo), so this is off
-  // by default; turn it on to study ACK-thinning effects.
-  bool delayed_ack = false;
-  Time delayed_ack_timeout = microseconds(std::int64_t{500});
   // Pre-seeded RTT estimate. 0 models a cold connection (RFC 6298's 1 s
   // initial RTO applies until the first sample); a positive value models a
   // request on an established persistent connection, as the paper's
@@ -46,11 +32,11 @@ struct FlowParams {
   Time initial_srtt = 0;
 
   // Two-level PIAS tagging (Bai et al., NSDI'15): the first
-  // `pias_threshold_bytes` of every flow ride the strict-priority queue,
-  // the rest drop to the flow's dedicated service queue.
+  // `pias_threshold_bytes` of every flow ride the strict-priority queue
+  // (queue 0 in every topology), the rest drop to the flow's dedicated
+  // service queue.
   bool pias = false;
   std::int64_t pias_threshold_bytes = 100'000;
-  int pias_high_queue = 0;
 
   bool unbounded() const { return size_bytes <= 0; }
 };
@@ -58,7 +44,7 @@ struct FlowParams {
 // Service queue for the packet carrying byte offset `seq` of this flow.
 inline int queue_for_segment(const FlowParams& params, std::uint64_t seq) {
   if (params.pias && seq < static_cast<std::uint64_t>(params.pias_threshold_bytes)) {
-    return params.pias_high_queue;
+    return 0;
   }
   return params.service_queue;
 }

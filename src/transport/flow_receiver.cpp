@@ -32,40 +32,12 @@ void FlowReceiver::send_ack(std::uint8_t queue, bool ece) {
     ack.sack[ack.num_sack++] = net::SackBlock{start, end};
   }
   ++acks_sent_;
-  ack_pending_ = false;
-  if (ack_timer_event_ != sim::kNoEvent) {
-    sim_.cancel(ack_timer_event_);  // the ACK is going out now
-    ack_timer_event_ = sim::kNoEvent;
-  }
   host_.send(std::move(ack));
 }
 
-void FlowReceiver::delayed_ack_timer_fired() {
-  ack_timer_event_ = sim::kNoEvent;
-  if (!ack_pending_) return;
-  send_ack(pending_queue_, /*ece=*/false);
-}
-
 void FlowReceiver::on_data(const net::Packet& data) {
-  const std::uint64_t before = rcv_nxt_;
   insert_segment(data.seq, data.seq + static_cast<std::uint64_t>(data.payload));
-  const bool advanced = rcv_nxt_ > before;
-
-  // RFC 1122 delayed ACKs acknowledge at least every 2nd segment; dupACK
-  // triggers (out-of-order data) and ECN (CE must be echoed promptly for
-  // DCTCP's estimator) always acknowledge immediately.
-  const bool must_ack_now = !params_.delayed_ack || !advanced || data.has(net::kFlagCe) ||
-                            ack_pending_ || complete_ ||
-                            (!params_.unbounded() &&
-                             static_cast<std::int64_t>(rcv_nxt_) >= params_.size_bytes);
-  if (must_ack_now) {
-    send_ack(data.queue, data.has(net::kFlagCe));
-  } else {
-    ack_pending_ = true;
-    pending_queue_ = data.queue;
-    ack_timer_event_ =
-        sim_.schedule_in(params_.delayed_ack_timeout, [this] { delayed_ack_timer_fired(); });
-  }
+  send_ack(data.queue, data.has(net::kFlagCe));
 
   if (!complete_ && !params_.unbounded() &&
       static_cast<std::int64_t>(rcv_nxt_) >= params_.size_bytes) {

@@ -1,6 +1,5 @@
-// Reliable byte-stream receiver: out-of-order reassembly, per-packet
-// cumulative ACKs (optionally delayed per RFC 1122), and per-packet ECN
-// echo (CE on a data packet sets ECE on exactly its ACK, giving DCTCP the
+// Reliable byte-stream receiver: out-of-order reassembly, an immediate
+// cumulative ACK for every data segment, and per-packet ECN echo (CE on a data packet sets ECE on exactly its ACK, giving DCTCP the
 // exact marked fraction — the behaviour the testbed gets with LSO/LRO
 // disabled).
 #pragma once
@@ -36,7 +35,6 @@ class FlowReceiver {
  private:
   void insert_segment(std::uint64_t seq, std::uint64_t end);
   void send_ack(std::uint8_t queue, bool ece);
-  void delayed_ack_timer_fired();
 
   sim::Simulator& sim_;
   net::Host& host_;
@@ -46,12 +44,6 @@ class FlowReceiver {
   bool complete_ = false;
   Time completion_time_ = 0;
   std::uint64_t acks_sent_ = 0;
-
-  // Delayed-ACK state: at most one segment may be unacknowledged. The
-  // pending timer event is cancelled outright when the ACK goes out early.
-  bool ack_pending_ = false;
-  std::uint8_t pending_queue_ = 0;
-  sim::EventId ack_timer_event_ = sim::kNoEvent;
 };
 
 }  // namespace dynaq::transport

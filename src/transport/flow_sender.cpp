@@ -8,12 +8,13 @@ namespace {
 
 constexpr Time kRtoMax = seconds(std::int64_t{60});
 constexpr int kMaxBackoff = 64;
+constexpr double kInitialCwndPackets = 10.0;  // RFC 6928
 
 }  // namespace
 
 FlowSender::FlowSender(sim::Simulator& sim, net::Host& host, FlowParams params)
     : sim_(sim), host_(host), params_(params), cc_(make_congestion_control(params.cc)) {
-  cc_->init(params_.mss, params_.initial_cwnd_packets);
+  cc_->init(params_.mss, kInitialCwndPackets);
   if (params_.initial_srtt > 0) {
     srtt_ = params_.initial_srtt;
     rttvar_ = params_.initial_srtt / 2;
@@ -106,10 +107,7 @@ std::int64_t FlowSender::pipe_bytes() const {
 }
 
 void FlowSender::sack_recovery_send() {
-  double cwnd = cc_->cwnd_bytes();
-  if (params_.max_window_bytes > 0) {
-    cwnd = std::min(cwnd, static_cast<double>(params_.max_window_bytes));
-  }
+  const double cwnd = cc_->cwnd_bytes();
   while (true) {
     const std::int64_t pipe = pipe_bytes();
     if (pipe > 0 && static_cast<double>(pipe) + params_.mss > cwnd) break;
@@ -135,19 +133,11 @@ void FlowSender::sack_recovery_send() {
 // ----------------------------------------------------------- transmit --
 
 void FlowSender::send_available() {
-  if (in_recovery_ && params_.sack) {
+  if (in_recovery_) {
     sack_recovery_send();
     return;
   }
-  // During (non-SACK) fast recovery the window is inflated by one MSS per
-  // dupACK (classic NewReno), which keeps the pipe full while the hole is
-  // plugged. The socket buffer caps the effective window either way.
-  double window =
-      cc_->cwnd_bytes() +
-      (in_recovery_ ? static_cast<double>(dup_acks_) * params_.mss : 0.0);
-  if (params_.max_window_bytes > 0) {
-    window = std::min(window, static_cast<double>(params_.max_window_bytes));
-  }
+  const double window = cc_->cwnd_bytes();
   while (may_send_new_data()) {
     const auto inflight = static_cast<double>(snd_nxt_ - snd_una_);
     // Always allow at least one outstanding segment so sub-MSS windows
@@ -235,7 +225,7 @@ void FlowSender::on_ack(const net::Packet& ack) {
     // the cumulative point past the resend position.
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     if (rtx_next_ < snd_una_) rtx_next_ = snd_una_;
-    if (params_.sack) merge_sack_blocks(ack);
+    merge_sack_blocks(ack);
     rto_backoff_ = 1;
 
     if (probe_armed_ && snd_una_ >= probe_end_seq_) {
@@ -250,12 +240,8 @@ void FlowSender::on_ack(const net::Packet& ack) {
         in_recovery_ = false;
         dup_acks_ = 0;
         cc_->on_ack(info);
-      } else if (params_.sack) {
-        sack_recovery_send();
       } else {
-        // Partial ACK: the next hole starts at the new snd_una.
-        ++stats_.partial_ack_retx;
-        transmit_segment(snd_una_, /*retransmission=*/true);
+        sack_recovery_send();
       }
     } else {
       dup_acks_ = 0;
@@ -275,18 +261,17 @@ void FlowSender::on_ack(const net::Packet& ack) {
 
   if (ack_seq == snd_una_ && snd_nxt_ > snd_una_) {
     ++dup_acks_;
-    if (params_.sack) merge_sack_blocks(ack);
+    merge_sack_blocks(ack);
     info.snd_una = snd_una_;
     info.srtt = srtt_;
-    // Loss detection: three dupACKs, or (with SACK) more than 3 MSS of
-    // scoreboard holes even when dupACKs were lost (RFC 6675).
-    const bool sack_trigger =
-        params_.sack && sacked_bytes() > 3 * static_cast<std::int64_t>(params_.mss);
+    // Loss detection: three dupACKs, or more than 3 MSS SACKed above a
+    // hole even when dupACKs were lost (RFC 6675).
+    const bool sack_trigger = sacked_bytes() > 3 * static_cast<std::int64_t>(params_.mss);
     const bool fresh_window = !has_recover_point_ || snd_una_ > recover_point_;
     if (!in_recovery_ && (dup_acks_ >= 3 || sack_trigger) && fresh_window) {
       enter_recovery(info);
     } else {
-      send_available();  // window inflation / pipe update may open slots
+      send_available();  // the pipe update may open slots
     }
   }
 }
@@ -298,11 +283,7 @@ void FlowSender::enter_recovery(const AckInfo& info) {
   rtx_next_ = snd_una_;
   ++stats_.fast_retransmits;
   cc_->on_loss_event(info);
-  if (params_.sack) {
-    sack_recovery_send();
-  } else {
-    transmit_segment(snd_una_, /*retransmission=*/true);
-  }
+  sack_recovery_send();
   arm_timer(sim_.now() + current_rto());
 }
 

@@ -1,5 +1,5 @@
 // Reliable byte-stream sender: window-based transmission with cumulative
-// ACKs, triple-dupACK fast retransmit with NewReno-style partial-ACK
+// ACKs, triple-dupACK fast retransmit with SACK-based (RFC 6675-style)
 // recovery, and an RFC 6298 retransmission timer. Congestion control is a
 // strategy object (NewReno / CUBIC / DCTCP).
 #pragma once
@@ -21,7 +21,7 @@ namespace dynaq::transport {
 struct SenderStats {
   std::uint64_t data_packets = 0;
   std::uint64_t retransmissions = 0;      // all resent segments
-  std::uint64_t partial_ack_retx = 0;     // NewReno hole-filling resends
+  std::uint64_t partial_ack_retx = 0;     // SACK hole-filling resends
   std::uint64_t goback_retx = 0;          // go-back-N resends after an RTO
   std::uint64_t fast_retransmits = 0;     // recovery entries
   std::uint64_t timeouts = 0;

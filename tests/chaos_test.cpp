@@ -40,7 +40,6 @@ TEST(Chaos, MixedTransportsWithRuntimeResizes) {
     params.service_queue = static_cast<int>(rng.uniform_int(0, 3));
     params.cc = kinds[id % 4];
     params.pias = id % 3 == 0;
-    params.delayed_ack = id % 5 == 0;
     params.initial_srtt = microseconds(std::int64_t{525});
     auto& rx = topo.agent(0).add_receiver(params);
     rx.on_complete = [&completed](const transport::FlowReceiver&) { ++completed; };

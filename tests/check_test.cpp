@@ -329,19 +329,21 @@ TEST(AuditorProperty, AllSchemesRunCleanUnderAudit) {
 // policy whose thresholds do not sum to B stops each of them at the first
 // check.
 TEST(AuditorProperty, EveryHarnessEntryPointAudits) {
-  const auto broken = [] { return std::make_unique<BrokenPolicy>(Sins{.bad_sum = true}); };
+  const auto broken = [](sim::Simulator&) {
+    return std::make_unique<BrokenPolicy>(Sins{.bad_sum = true});
+  };
 
   harness::StaticExperimentConfig st;
   st.star.num_hosts = 3;
   st.star.queue_weights = {1, 1};
-  st.star.scheme.custom_policy = broken;
+  st.star.scheme.custom_policy_sim = broken;
   st.groups = {{.queue = 0, .num_flows = 1, .first_src_host = 1, .num_src_hosts = 1}};
   st.duration = milliseconds(std::int64_t{10});
   EXPECT_THROW(harness::run_static_experiment(st), check::AuditError);
 
   harness::DynamicStarConfig ds;
   ds.star.queue_weights = {1, 1, 1};
-  ds.star.scheme.custom_policy = broken;
+  ds.star.scheme.custom_policy_sim = broken;
   ds.num_flows = 10;
   ds.dist = &workload::web_search_workload();
   EXPECT_THROW(harness::run_dynamic_star_experiment(ds), check::AuditError);
@@ -350,7 +352,7 @@ TEST(AuditorProperty, EveryHarnessEntryPointAudits) {
   ls.fabric.num_leaves = 2;
   ls.fabric.num_spines = 2;
   ls.fabric.hosts_per_leaf = 2;
-  ls.fabric.scheme.custom_policy = broken;
+  ls.fabric.scheme.custom_policy_sim = broken;
   ls.num_flows = 10;
   EXPECT_THROW(harness::run_dynamic_leaf_spine_experiment(ls), check::AuditError);
 }

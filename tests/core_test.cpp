@@ -413,7 +413,6 @@ TEST(MqEcn, ThresholdScalesWithActiveQueues) {
   core::EcnConfig ec;
   ec.capacity_bps = 1e9;
   ec.rtt = microseconds(std::int64_t{500});
-  ec.lambda = 1.0;
   ec.quantum_base = 1500;
   core::MqEcnMarker marker(ec);
   auto s = marker_state({1, 1}, 85'000);

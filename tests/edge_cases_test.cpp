@@ -100,7 +100,6 @@ TEST(EdgeCases, QueueForSegmentWithHighQueueEqualToService) {
   transport::FlowParams p;
   p.pias = true;
   p.service_queue = 0;
-  p.pias_high_queue = 0;
   EXPECT_EQ(transport::queue_for_segment(p, 0), 0);
   EXPECT_EQ(transport::queue_for_segment(p, 1'000'000), 0);
 }

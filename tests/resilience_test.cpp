@@ -129,13 +129,12 @@ TEST(CustomPolicy, FactoryOverridesKind) {
   };
   core::SchemeSpec spec;
   spec.kind = core::SchemeKind::kBestEffort;
-  spec.custom_policy = [] { return std::make_unique<DenyAll>(); };
-  auto policy = core::make_policy(spec);
-  EXPECT_EQ(policy->name(), "deny-all");
+  spec.custom_policy_sim = [](sim::Simulator&) { return std::make_unique<DenyAll>(); };
 
   sim::Simulator sim;
   auto qd = core::make_mq_qdisc(sim, {1.0}, 10'000, spec,
                                 std::make_unique<net::SpqScheduler>());
+  EXPECT_EQ(qd->policy().name(), "deny-all");
   EXPECT_FALSE(qd->enqueue(pkt(0)));
   EXPECT_EQ(qd->stats().dropped_by_policy, 1u);
 }

@@ -56,13 +56,12 @@ struct Pipe {
   }
 };
 
-transport::FlowParams flow_of(std::int64_t bytes, bool sack = true) {
+transport::FlowParams flow_of(std::int64_t bytes) {
   transport::FlowParams p;
   p.id = 1;
   p.src_host = 0;
   p.dst_host = 1;
   p.size_bytes = bytes;
-  p.sack = sack;
   p.rto_min = milliseconds(std::int64_t{10});
   return p;
 }
@@ -153,21 +152,6 @@ TEST(SackEndToEnd, BurstLossRecoversWithoutTimeout) {
   EXPECT_LT(to_milliseconds(done), 5.0);
   EXPECT_GE(tx.stats().retransmissions, 5u);
   EXPECT_LE(tx.stats().retransmissions, 8u) << "no spurious mass retransmission";
-}
-
-TEST(SackEndToEnd, NoSackFallsBackToNewReno) {
-  Pipe pipe({2, 4, 5, 7, 8});
-  const auto params = flow_of(100'000, /*sack=*/false);
-  Time done = -1;
-  pipe.agent_b->add_receiver(params).on_complete =
-      [&](const transport::FlowReceiver& r) { done = r.completion_time(); };
-  auto& tx = pipe.agent_a->add_sender(params);
-  tx.start();
-  pipe.sim.run_until(seconds(std::int64_t{5}));
-  ASSERT_GT(done, 0) << "NewReno must still complete";
-  // NewReno recovers one hole per RTT (or worse); SACK recovery above was
-  // faster or equal.
-  EXPECT_GE(tx.stats().retransmissions, 5u);
 }
 
 TEST(SackEndToEnd, ManySeedsNeverStall) {

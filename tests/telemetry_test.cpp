@@ -419,16 +419,6 @@ TEST(QueueSeries, KeepsThresholds) {
   EXPECT_EQ(series.samples()[0].thresholds[1], 200);
 }
 
-TEST(QueueSeries, MinGapTurnsEventCadenceIntoTimeCadence) {
-  telemetry::QueueSeries series(10, 0, 100);
-  series.record(0, {1});
-  series.record(50, {2});   // closer than min_gap: skipped
-  series.record(120, {3});  // 120 ps after the last kept sample: recorded
-  ASSERT_EQ(series.samples().size(), 2u);
-  EXPECT_EQ(series.samples()[1].when, 120);
-  EXPECT_EQ(series.samples()[1].queue_bytes[0], 3);
-}
-
 TEST(QueueSeries, HubSamplingStopsAtCapacity) {
   sim::Simulator sim;
   telemetry::Hub hub(sim);

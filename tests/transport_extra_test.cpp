@@ -108,7 +108,6 @@ TEST(PiasEndToEnd, SegmentsChangeQueueAtThreshold) {
   transport::FlowParams params = flow_of(300'000);
   params.pias = true;
   params.pias_threshold_bytes = 100'000;
-  params.pias_high_queue = 0;
   params.service_queue = 3;
   pipe.agent_b->add_receiver(params);
   auto& tx = pipe.agent_a->add_sender(params);

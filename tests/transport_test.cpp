@@ -386,7 +386,6 @@ TEST(Pias, TagsFirstBytesHighPriority) {
   p.service_queue = 3;
   p.pias = true;
   p.pias_threshold_bytes = 100'000;
-  p.pias_high_queue = 0;
   EXPECT_EQ(transport::queue_for_segment(p, 0), 0);
   EXPECT_EQ(transport::queue_for_segment(p, 99'999), 0);
   EXPECT_EQ(transport::queue_for_segment(p, 100'000), 3);

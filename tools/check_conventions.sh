@@ -30,9 +30,10 @@
 #      pointer-keyed ordering, unordered reductions.
 #  11. Scenario actions mutate components only via registered handle methods
 #      (set_weights, resize_buffer, set_link_down/up, set_rate,
-#      set_loss_rate, pause/resume — DESIGN.md §11): src/scenario must never
-#      reach into buffer state (MqState, ServiceQueue, packet deques), so
-#      every mutation stays inside the audited component APIs.
+#      pause/resume, control-plane fault handles — DESIGN.md §11):
+#      src/scenario must never reach into buffer state (MqState,
+#      ServiceQueue, packet deques), so every mutation stays inside the
+#      audited component APIs.
 #  13. The report subsystem reads serialized artifacts only (DESIGN.md
 #      §13): src/report evaluates sweep results JSON, BENCH_core.json and
 #      BENCH_history.jsonl, so src/report and tools/report_gen.cpp include

@@ -12,6 +12,7 @@
 #include "harness/cli.hpp"
 #include "stats/csv_writer.hpp"
 #include "harness/dynamic_experiment.hpp"
+#include "harness/scheme_cli.hpp"
 #include "harness/static_experiment.hpp"
 #include "harness/table.hpp"
 #include "stats/fairness.hpp"
@@ -123,7 +124,10 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 //   --jobs N        worker threads (default: hardware concurrency)
 //   --strict        exit non-zero on unrecognized flags
 //   --json DIR      write <DIR>/<name>.json (sweep results schema)
-//   --bench-json P  additionally write the JSON to exactly P (perf trajectory)
+//   --bench-json P  additionally write the JSON to exactly P without the
+//                   wall/cpu-time fields, so it is byte-identical for any
+//                   --jobs and changes only when a trajectory does (the
+//                   committed BENCH_sweep.json snapshot)
 //
 // Call after main() has read every binary-specific flag: this is also where
 // unrecognized-flag complaints fire (harness::Cli::complain_unknown).
@@ -153,7 +157,7 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
     const std::string path = json_dir + "/" + store.name() + ".json";
     if (store.write_json(path)) std::printf("wrote %s\n", path.c_str());
   }
-  if (!bench_json.empty() && store.write_json(bench_json)) {
+  if (!bench_json.empty() && store.write_json(bench_json, {.include_perf = false})) {
     std::printf("wrote %s\n", bench_json.c_str());
   }
   const int exit_code = (strict && bad_flags) || !store.all_ok() ? 1 : 0;
@@ -180,7 +184,9 @@ inline std::vector<core::SchemeKind> schemes_from_cli(const harness::Cli& cli,
                                                       std::vector<core::SchemeKind> fallback) {
   if (!cli.has("schemes")) return fallback;
   std::vector<core::SchemeKind> kinds;
-  for (const auto& name : cli.list("schemes", {})) kinds.push_back(core::parse_scheme(name));
+  for (const auto& name : cli.list("schemes", {})) {
+    kinds.push_back(harness::scheme_flag("schemes", name));
+  }
   return kinds;
 }
 

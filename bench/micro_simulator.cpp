@@ -9,34 +9,23 @@
 //   cancel — a ticker that arms and cancels a far-future decoy per event
 //            (the retransmit-timer push-out pattern)
 //
-// Reports ns/event and events/sec (best of --reps passes) against the
-// pre-rewrite baseline (binary heap of std::function, commit c1754d0;
-// measured with the same workload code on the same machine class), and
-// verifies the hot path stays allocation-free (zero EventFn heap
-// fallbacks). --json writes BENCH_core.json; --assert-budget (used by
-// ci.sh) fails the run when any workload exceeds its soft ns/event budget
-// or a closure falls back to the heap.
+// Reports ns/event and events/sec (best of --reps passes) and the EventFn
+// heap-fallback count, which must stay zero (the hot path is
+// allocation-free). --assert-budget (used by ci.sh) fails the run when any
+// workload exceeds its soft ns/event budget or a closure falls back to the
+// heap.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <string>
 
 #include "harness/cli.hpp"
 #include "net/packet.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "json/json.hpp"
 
 using namespace dynaq;
 
 namespace {
-
-// Pre-rewrite baseline, ns/event: the same workloads driven through the
-// std::function binary-heap engine (commit c1754d0), best of 5.
-constexpr double kBaselineChainNs = 38.39;
-constexpr double kBaselineFanoutNs = 283.49;
-constexpr double kBaselinePacketNs = 67.74;
 
 // Soft budgets (ns/event) for --assert-budget: ~2-2.5x the measured
 // post-rewrite numbers (chain ~19, fanout ~150, packet ~27, cancel ~40),
@@ -162,21 +151,8 @@ Measurement best_of(F pass, int reps) {
 struct Row {
   const char* name;
   Measurement m;
-  double baseline_ns;  // 0 = no pre-rewrite baseline (workload didn't exist)
   double budget_ns;
 };
-
-json::Value json_row(const Row& r) {
-  json::Value w;
-  w.set("ns_per_event", r.m.ns_per_event)
-      .set("events_per_sec", 1e9 / r.m.ns_per_event)
-      .set("heap_fallbacks", r.m.heap_fallbacks);
-  if (r.baseline_ns > 0) {
-    w.set("baseline_ns_per_event", r.baseline_ns).set("speedup", r.baseline_ns / r.m.ns_per_event);
-  }
-  w.set("budget_ns_per_event", r.budget_ns);
-  return w;
-}
 
 }  // namespace
 
@@ -186,51 +162,21 @@ int main(int argc, char** argv) {
   const long fanout_width = cli.positive("fanout-width", 100'000);
   const int reps = static_cast<int>(cli.positive("reps", 5));
   const bool assert_budget = cli.flag("assert-budget");
-  const std::string json_path = cli.text("json", "");
 
   std::puts("Event-engine microbench (DESIGN.md §9 perf-regression harness)");
-  std::printf("(%ld events per pass, best of %d passes; baseline = binary-heap\n"
-              " std::function engine at commit c1754d0)\n\n",
-              events, reps);
+  std::printf("(%ld events per pass, best of %d passes)\n\n", events, reps);
 
   const Row rows[] = {
-      {"chain", best_of([&] { return chain_pass(events); }, reps), kBaselineChainNs,
-       kBudgetChainNs},
-      {"fanout", best_of([&] { return fanout_pass(fanout_width); }, reps), kBaselineFanoutNs,
-       kBudgetFanoutNs},
-      {"packet", best_of([&] { return packet_pass(events); }, reps), kBaselinePacketNs,
-       kBudgetPacketNs},
-      {"cancel", best_of([&] { return cancel_pass(events); }, reps), 0.0, kBudgetCancelNs},
+      {"chain", best_of([&] { return chain_pass(events); }, reps), kBudgetChainNs},
+      {"fanout", best_of([&] { return fanout_pass(fanout_width); }, reps), kBudgetFanoutNs},
+      {"packet", best_of([&] { return packet_pass(events); }, reps), kBudgetPacketNs},
+      {"cancel", best_of([&] { return cancel_pass(events); }, reps), kBudgetCancelNs},
   };
 
-  std::printf("%-8s %12s %14s %10s %14s\n", "workload", "ns/event", "Mevents/s", "speedup",
-              "heap-fallback");
+  std::printf("%-8s %12s %14s %14s\n", "workload", "ns/event", "Mevents/s", "heap-fallback");
   for (const Row& r : rows) {
-    char speedup[16] = "n/a";
-    if (r.baseline_ns > 0) {
-      std::snprintf(speedup, sizeof speedup, "%.2fx", r.baseline_ns / r.m.ns_per_event);
-    }
-    std::printf("%-8s %12.2f %14.2f %10s %14llu\n", r.name, r.m.ns_per_event,
-                1e3 / r.m.ns_per_event, speedup,
+    std::printf("%-8s %12.2f %14.2f %14llu\n", r.name, r.m.ns_per_event, 1e3 / r.m.ns_per_event,
                 static_cast<unsigned long long>(r.m.heap_fallbacks));
-  }
-
-  if (!json_path.empty()) {
-    json::Value workloads;
-    for (const Row& r : rows) workloads.set(r.name, json_row(r));
-    json::Value doc;
-    doc.set("schema", "dynaq-bench-core-v1")
-        .set("events_per_pass", events)
-        .set("reps", reps)
-        .set("baseline", "binary-heap std::function engine (commit c1754d0), best of 5")
-        .set("workloads", std::move(workloads));
-    std::ofstream out(json_path);
-    out << doc.dump() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
   }
 
   if (assert_budget) {

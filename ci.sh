@@ -23,10 +23,9 @@ for arg in "$@"; do
 done
 
 # Smoke sweep (2 schemes x 2 seeds, --jobs 2, --strict): exercises the
-# src/sweep worker pool end to end. Under the sanitizer configuration it
-# doubles as a data-race shakeout; under the perf configuration its JSON
-# (per-job wall time + FCT aggregates) becomes the repo-root BENCH_sweep.json
-# perf trajectory.
+# src/sweep worker pool end to end under the sanitizers, where it doubles as
+# a data-race shakeout. ctest reruns it with --bench-json and compares the
+# result with the committed BENCH_sweep.json (bench_sweep_snapshot_*).
 smoke_sweep() {  # smoke_sweep <build-dir> [extra flags...]
   local build="$1"
   shift
@@ -38,29 +37,21 @@ echo "==> [1/4] RelWithDebInfo + -Werror"
 cmake -B build-ci -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDYNAQ_WERROR=ON > /dev/null
 cmake --build build-ci -j "$jobs"
 ctest --test-dir build-ci -j "$jobs" --output-on-failure
-echo "==> [1/4] smoke sweep -> BENCH_sweep.json"
-smoke_sweep build-ci --bench-json BENCH_sweep.json
 echo "==> [1/4] telemetry fast-path budget (micro_telemetry)"
 # Disabled-hub overhead must stay a single guarded branch (DESIGN.md §8);
 # the budget is generous vs. the ~1ns branch cost to keep CI noise-proof.
 build-ci/bench/micro_telemetry --ops=300000 --reps=3 --assert-budget-ns=25
-echo "==> [1/4] event-engine perf regression (micro_simulator) -> BENCH_core.json"
-# Soft ns/event budgets plus a hard zero-heap-fallback gate (DESIGN.md §9);
-# the JSON snapshot is the committed perf trajectory, like BENCH_sweep.json.
-build-ci/bench/micro_simulator --reps=5 --assert-budget --json BENCH_core.json
+echo "==> [1/4] event-engine perf regression (micro_simulator)"
+# Soft ns/event budgets plus a hard zero-heap-fallback gate (DESIGN.md §9).
+build-ci/bench/micro_simulator --reps=5 --assert-budget
 echo "==> [1/4] trajectory-hash differential gate (DESIGN.md §10)"
 # Same seed twice and --jobs 1 vs 4 must hash identically; different seeds
 # must diverge. Catches nondeterminism the unit tests' small runs may miss.
 tools/check_determinism.sh build-ci
 echo "==> [1/4] fidelity report gate (report_gen, DESIGN.md §13)"
-# Evaluate the expectation catalogue over the smoke sweep, append this
-# rev's row to the BENCH_history.jsonl perf ledger, and re-apply the bench
-# budgets to it; any failed expectation or bench regression fails CI.
-build-ci/tools/report_gen --gate \
-    --sweep BENCH_sweep.json --bench-core BENCH_core.json \
-    --history BENCH_history.jsonl \
-    --rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    --out results/REPORT.md
+# Evaluate the expectation catalogue over the committed smoke snapshot
+# (ctest checked it against a fresh run); any failed expectation fails CI.
+build-ci/tools/report_gen --gate --sweep BENCH_sweep.json --out results/REPORT.md
 echo "==> [1/4] perfbench self-tests (GTest + run.py)"
 # The repo benchmark compiles src/ through its own CMake package, so a
 # library change can break it without breaking the root build; its traced ==

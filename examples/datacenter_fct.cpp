@@ -7,9 +7,11 @@
 //   datacenter_fct --scheme TCN --workload cache --flows 5000
 //   datacenter_fct --scheme BestEffort --leaf-spine --load 0.4
 #include <cstdio>
+#include <exception>
 
 #include "harness/cli.hpp"
 #include "harness/dynamic_experiment.hpp"
+#include "harness/scheme_cli.hpp"
 #include "harness/table.hpp"
 #include "workload/flow_size_distribution.hpp"
 
@@ -41,9 +43,11 @@ void print_summary(const stats::FctSummary& s, std::size_t incomplete) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A config the run builders reject (a one-host fabric, say) exits 1 with
+// the reason instead of aborting on an uncaught exception.
+int main(int argc, char** argv) try {
   const harness::Cli cli(argc, argv);
-  const auto scheme = core::parse_scheme(cli.text("scheme", "DynaQ"));
+  const auto scheme = harness::scheme_flag("scheme", cli.text("scheme", "DynaQ"));
   const auto& dist = pick_workload(cli.text("workload", "websearch"));
   const double load = cli.real("load", 0.6);
   const auto flows = static_cast<std::size_t>(cli.positive("flows", 2000));
@@ -104,4 +108,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.drops),
               static_cast<unsigned long long>(r.marks));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "harness/cli.hpp"
+#include "harness/scheme_cli.hpp"
 #include "harness/static_experiment.hpp"
 #include "harness/table.hpp"
 #include "stats/fairness.hpp"
@@ -17,7 +18,7 @@ using namespace dynaq;
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto scheme = core::parse_scheme(cli.text("scheme", "DynaQ"));
+  const auto scheme = harness::scheme_flag("scheme", cli.text("scheme", "DynaQ"));
   const auto weights = cli.reals("weights", {1, 1, 1, 1});
   const auto flows = cli.reals("flows", {2, 4, 8, 16});
   const double rate_gbps = cli.real("rate-gbps", 1.0);

@@ -168,7 +168,12 @@ Verdict DynaQController::on_arrival(std::span<const std::int64_t> queue_bytes, i
   last_v_ = v;
   last_size_ = size;
 
-  if (config_.strict && queue_bytes[static_cast<std::size_t>(p)] + size > t_p) {
+  // Threshold-enforced admission: the packet is admitted only if
+  // q_p + size <= T_p after the exchange, which preserves q_i <= T_i for
+  // every queue and therefore Σq <= ΣT = B — the port bound needs no
+  // separate check and a below-threshold queue can never be starved by
+  // other queues pinning the port full (DESIGN.md §4).
+  if (queue_bytes[static_cast<std::size_t>(p)] + size > t_p) {
     // The packet is dropped anyway, so return the borrowed buffer —
     // otherwise thresholds would drift toward p without carrying packets.
     t_p -= size;

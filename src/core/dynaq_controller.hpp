@@ -43,30 +43,21 @@ struct DynaQConfig {
   SatisfactionRule satisfaction = SatisfactionRule::kBufferShare;
   std::int64_t bdp_bytes = 0;           // only for SatisfactionRule::kWeightedBdp
   bool loop_free_search = true;         // MaxIdx tournament vs reference linear scan
-  // Threshold-enforced admission (default): after a successful exchange the
-  // packet is admitted only if q_p + size <= T_p, which preserves
-  // q_i <= T_i for every queue and therefore Σq <= ΣT = B — the port bound
-  // needs no separate check and a below-threshold queue can never be
-  // starved by other queues pinning the port full. Setting strict=false
-  // gives the looser reading (admit on port occupancy alone after the
-  // exchange); the ablation bench shows it starves light queues when every
-  // other queue sits exactly at its threshold.
-  bool strict = true;
 };
 
 enum class Verdict {
   kAdmit,     // below threshold — nothing done (Alg. 1 line 1 false)
   kAdjusted,  // thresholds exchanged, packet may be enqueued (lines 6-7)
-  kDrop,      // victim protection triggered (line 4), or strict-mode recheck
+  kDrop,      // victim protection triggered (line 4), or the threshold recheck
 };
 
 // Why the most recent on_arrival() returned kDrop — the drop taxonomy the
 // telemetry layer reports. kThreshold covers the cases where no usable
-// exchange exists at all (no victim queue, or the strict-mode recheck
+// exchange exists at all (no victim queue, or the threshold recheck
 // rejected the packet even after borrowing).
 enum class DropCause {
   kNone,                // last verdict was not kDrop
-  kThreshold,           // no victim / strict recheck: arrival exceeds T_p
+  kThreshold,           // no victim / threshold recheck: arrival exceeds T_p
   kVictimTooSmall,      // line 3a: T_v < size, victim cannot give that much
   kVictimUnsatisfied,   // line 3b: active victim would dip below S_v
 };

@@ -112,8 +112,6 @@ void DynaQPolicy::attach(const net::MqState& state) {
   cfg.victim = options_.victim;
   cfg.satisfaction = options_.satisfaction;
   cfg.bdp_bytes = options_.bdp_bytes;
-  cfg.loop_free_search = options_.loop_free_search;
-  cfg.strict = options_.strict;
   controller_ = std::make_unique<DynaQController>(std::move(cfg));
 }
 

@@ -119,8 +119,6 @@ class DynaQPolicy : public net::BufferPolicy {
     VictimSelection victim = VictimSelection::kLargestExtra;
     SatisfactionRule satisfaction = SatisfactionRule::kBufferShare;
     std::int64_t bdp_bytes = 0;
-    bool loop_free_search = true;
-    bool strict = true;  // threshold-enforced admission; see DynaQConfig
     // Tofino/TNA emulation (§IV-A2 of the paper): the ingress pipeline
     // cannot read live queue depths; it sees the `deq_qdepth` of the last
     // dequeued packet, fed back through an extern register. With this set,
@@ -148,12 +146,10 @@ class DynaQPolicy : public net::BufferPolicy {
   void on_dequeue(const net::MqState& state, int q, const net::Packet& p) override;
   std::vector<std::int64_t> thresholds() const override;
   // ΣT = B is Algorithm 1's core invariant; admission is threshold-enforced
-  // in strict mode only (DESIGN.md §4), and TNA staleness makes the live
-  // q_p + size ≤ T_p recheck unsound (Algorithm 1 then sees stale depths).
+  // (DESIGN.md §4), but TNA staleness makes the live q_p + size ≤ T_p
+  // recheck unsound (Algorithm 1 then sees stale depths).
   bool conserves_threshold_sum() const override { return true; }
-  bool enforces_thresholds() const override {
-    return options_.strict && !options_.stale_queue_info;
-  }
+  bool enforces_thresholds() const override { return !options_.stale_queue_info; }
   // Telemetry: Algorithm 1's drop causes map one-to-one onto the event
   // taxonomy (DESIGN.md §8); exchanges surface as the borrowed-from queue.
   telemetry::DropReason last_drop_reason() const override { return last_drop_reason_; }

@@ -23,11 +23,7 @@ std::string_view scheme_name(SchemeKind kind) {
 }
 
 SchemeKind parse_scheme(std::string_view name) {
-  for (SchemeKind k : {SchemeKind::kDynaQ, SchemeKind::kDynaQEvict, SchemeKind::kBestEffort,
-                       SchemeKind::kPql, SchemeKind::kDynamicThreshold,
-                       SchemeKind::kLongestQueueDrop, SchemeKind::kHarmonic,
-                       SchemeKind::kDynaQEcn, SchemeKind::kTcn, SchemeKind::kPmsb,
-                       SchemeKind::kPerQueueEcn, SchemeKind::kMqEcn}) {
+  for (const SchemeKind k : kAllSchemes) {
     if (name == scheme_name(k)) return k;
   }
   throw std::invalid_argument("unknown scheme: " + std::string(name));
@@ -93,8 +89,7 @@ std::unique_ptr<net::MultiQueueQdisc> make_mq_qdisc(
   std::unique_ptr<net::BufferPolicy> policy =
       spec.custom_policy_sim ? spec.custom_policy_sim(sim) : make_policy(spec);
   if (spec.audit) {
-    policy = std::make_unique<check::AuditedBufferPolicy>(std::move(policy), &sim,
-                                                          spec.audit_options);
+    policy = std::make_unique<check::AuditedBufferPolicy>(std::move(policy), &sim);
   }
   return std::make_unique<net::MultiQueueQdisc>(sim, std::move(weights), buffer_bytes,
                                                 std::move(policy), std::move(scheduler),

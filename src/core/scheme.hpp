@@ -34,6 +34,13 @@ enum class SchemeKind {
   kMqEcn,             // shared buffer + round-time-normalized marking
 };
 
+// Every kind, in declaration order.
+inline constexpr SchemeKind kAllSchemes[] = {
+    SchemeKind::kDynaQ,    SchemeKind::kDynaQEvict,       SchemeKind::kBestEffort,
+    SchemeKind::kPql,      SchemeKind::kDynamicThreshold, SchemeKind::kLongestQueueDrop,
+    SchemeKind::kHarmonic, SchemeKind::kDynaQEcn,         SchemeKind::kTcn,
+    SchemeKind::kPmsb,     SchemeKind::kPerQueueEcn,      SchemeKind::kMqEcn};
+
 // Human-readable name (also accepted by parse_scheme).
 std::string_view scheme_name(SchemeKind kind);
 SchemeKind parse_scheme(std::string_view name);
@@ -50,12 +57,11 @@ struct SchemeSpec {
   // gets the port's simulator, so a policy may schedule its own events —
   // the dynaq::ctrlplane shim runs its update/watchdog timers on it.
   std::function<std::unique_ptr<net::BufferPolicy>(sim::Simulator&)> custom_policy_sim;
-  // Wrap the policy in check::AuditedBufferPolicy so every admission/
-  // eviction/rollback is verified against the buffer-policy contract
-  // (DESIGN.md §6). harness::run_*_experiment turns this on by default;
-  // audit.throw_on_violation picks fail-fast vs collect.
+  // Wrap the policy in check::AuditedBufferPolicy (default options:
+  // fail-fast) so every admission/eviction/rollback is verified against
+  // the buffer-policy contract (DESIGN.md §6). harness::run_*_experiment
+  // turns this on by default.
   bool audit = false;
-  check::AuditOptions audit_options;
 };
 
 // Builds the buffer policy for `spec.kind` (BestEffort for all pure-ECN

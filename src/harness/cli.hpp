@@ -6,7 +6,9 @@
 // value that parses completely: --flows=4x, --seeds=abc or a bare --flows
 // print an error naming the flag and exit with status 2, as do a seed that
 // is negative or fractional (--seeds=1.5), a count, size or duration of 0
-// (--flows=0) and a bare text flag (--csv).
+// (--flows=0), a real value that is not positive (--loads=0; every real
+// flag is a load, rate, weight, count or duration) and a bare text flag
+// (--csv).
 #pragma once
 
 #include <charconv>
@@ -58,6 +60,7 @@ class Cli {
     return it == values_.end() ? fallback : parse_integer(name, it->second);
   }
 
+  // A positive real number, e.g. --load=0.5.
   double real(const std::string& name, double fallback) const {
     queried_.insert(name);
     const auto it = values_.find(name);
@@ -90,7 +93,7 @@ class Cli {
     return it->second;
   }
 
-  // Comma-separated list of doubles, e.g. --loads=0.3,0.5,0.8.
+  // Comma-separated list of positive reals, e.g. --loads=0.3,0.5,0.8.
   std::vector<double> reals(const std::string& name, std::vector<double> fallback) const {
     queried_.insert(name);
     const auto it = values_.find(name);
@@ -182,6 +185,7 @@ class Cli {
     if (value.empty() || ec != std::errc() || ptr != end || !std::isfinite(out)) {
       reject(name, value, "a finite number");
     }
+    if (out <= 0.0) reject(name, value, "a positive number");
     return out;
   }
 

@@ -95,6 +95,8 @@ DynamicExperimentResult run_dynamic_leaf_spine_experiment(
   }
   run.instrument(config.scenario);
   const int num_hosts = run.topo.num_hosts();
+  // Every flow needs a destination other than its source.
+  if (num_hosts < 2) throw std::invalid_argument("leaf-spine fabric has fewer than two hosts");
 
   const Time initial_srtt = 8 * config.fabric.link_delay + microseconds(std::int64_t{5});
   DynamicExperimentResult result;

@@ -329,26 +329,4 @@ void Value::dump_to(std::string& out) const {
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
-Value parse_lines(std::string_view text) {
-  Value docs = Value::array();
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") != std::string_view::npos) {
-      try {
-        docs.push(parse(line));
-      } catch (const ParseError& e) {
-        throw ParseError(e.message(), line_no, e.column());
-      }
-    }
-    if (nl == text.size()) break;
-    pos = nl + 1;
-  }
-  return docs;
-}
-
 }  // namespace dynaq::json

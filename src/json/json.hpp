@@ -1,7 +1,6 @@
 // The one JSON module (DESIGN.md §2). Every artifact the repo writes — sweep
-// results JSON, BENCH_core.json, the BENCH_history.jsonl ledger, telemetry
-// event dumps — is built as a json::Value and serialized by dump(), and
-// every reader parses into the same type. A leaf library: it includes no
+// results JSON and telemetry event dumps — is built as a json::Value and
+// serialized by dump(), and every reader parses into the same type. A leaf library: it includes no
 // other repo header (check_conventions.sh rule 15), so src/report can read
 // artifacts without linking any model library (rule 13).
 //
@@ -27,15 +26,12 @@ class ParseError : public std::runtime_error {
   ParseError(const std::string& message, std::size_t line, std::size_t column)
       : std::runtime_error(message + " at line " + std::to_string(line) + ", column " +
                            std::to_string(column)),
-        message_(message),
         line_(line),
         column_(column) {}
-  const std::string& message() const { return message_; }  // what() minus the location
   std::size_t line() const { return line_; }
   std::size_t column() const { return column_; }
 
  private:
-  std::string message_;
   std::size_t line_;
   std::size_t column_;
 };
@@ -113,10 +109,5 @@ std::string format_number(double d);
 // Parses one JSON document; throws ParseError (1-based line/column) on
 // malformed input or trailing characters.
 Value parse(std::string_view text);
-
-// Parses JSON Lines (one document per non-empty line, the
-// BENCH_history.jsonl format) into an array of the documents. Blank lines
-// are skipped; a malformed line throws ParseError naming that line.
-Value parse_lines(std::string_view text);
 
 }  // namespace dynaq::json

@@ -1,15 +1,7 @@
 #include "report/markdown.hpp"
 
-#include <cstdio>
-
 namespace dynaq::report {
 namespace {
-
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.4g", v);
-  return buf;
-}
 
 // Markdown table cells: keep '|' out of free-text fields.
 std::string cell(std::string s) {
@@ -35,8 +27,7 @@ std::string render_markdown_report(const ReportInputs& in) {
   md += "# DynaQ paper-fidelity report\n\n";
   md +=
       "Generated by `report_gen` (DESIGN.md §13) from machine-readable run\n"
-      "artifacts only — sweep results JSON (DESIGN.md §7), `BENCH_core.json`\n"
-      "(§9) and `BENCH_history.jsonl`. Regenerate with\n"
+      "artifacts only — sweep results JSON (DESIGN.md §7). Regenerate with\n"
       "`bench/run_all.sh build results` (full catalogue) or\n"
       "`./ci.sh` (smoke subset, gated).\n\n";
 
@@ -70,57 +61,6 @@ std::string render_markdown_report(const ReportInputs& in) {
   }
   md += "\n";
 
-  // ---- bench trajectory ------------------------------------------------
-  if (!in.history.empty() || in.bench_core != nullptr) {
-    md += "## Bench trajectory (DESIGN.md §9, `BENCH_history.jsonl`)\n\n";
-  }
-  if (!in.history.empty()) {
-    // Column set = workloads of the newest row, so dropped/renamed
-    // workloads render as — in older rows rather than shifting columns.
-    const HistoryRow& latest = in.history.back();
-    md += "| rev | seq |";
-    for (const BenchWorkload& w : latest.core) md += " " + w.name + " ns/ev |";
-    md += " heap fallbacks | smoke-sweep wall ms |\n|---|---|";
-    for (std::size_t i = 0; i < latest.core.size(); ++i) md += "---|";
-    md += "---|---|\n";
-    for (const HistoryRow& row : in.history) {
-      md += "| `" + row.rev + "` | " + std::to_string(row.seq) + " |";
-      std::int64_t fallbacks = 0;
-      for (const BenchWorkload& col : latest.core) {
-        const BenchWorkload* found = nullptr;
-        for (const BenchWorkload& w : row.core) {
-          if (w.name == col.name) {
-            found = &w;
-            break;
-          }
-        }
-        md += found != nullptr ? " " + fmt(found->ns_per_event) + " |" : " — |";
-      }
-      for (const BenchWorkload& w : row.core) fallbacks += w.heap_fallbacks;
-      md += " " + std::to_string(fallbacks) + " |";
-      md += row.sweep ? " " + fmt(row.sweep->total_wall_ms) + " |\n" : " — |\n";
-    }
-    md += "\n";
-  }
-  if (in.bench_core != nullptr) {
-    md += "Current `" + in.bench_core->path + "` snapshot (best of " +
-          std::to_string(in.bench_core->reps) + " reps):\n\n";
-    md += "| workload | ns/event | budget | baseline | heap fallbacks |\n";
-    md += "|---|---|---|---|---|\n";
-    for (const BenchWorkload& w : in.bench_core->workloads) {
-      md += "| " + w.name + " | " + fmt(w.ns_per_event) + " | " +
-            (w.budget_ns_per_event ? fmt(*w.budget_ns_per_event) : std::string("—")) + " | " +
-            (w.baseline_ns_per_event ? fmt(*w.baseline_ns_per_event) : std::string("—")) + " | " +
-            std::to_string(w.heap_fallbacks) + " |\n";
-    }
-    md += "\n";
-  }
-  if (!in.bench_findings.empty()) {
-    md += "Bench regressions:\n\n";
-    for (const std::string& finding : in.bench_findings) md += "* ❌ " + finding + "\n";
-    md += "\n";
-  }
-
   // ---- inputs ----------------------------------------------------------
   md += "## Inputs\n\n";
   if (in.sweeps.empty()) {
@@ -131,15 +71,6 @@ std::string render_markdown_report(const ReportInputs& in) {
           std::to_string(doc.schema_version) + ", " + std::to_string(doc.jobs.size()) +
           " jobs, " + std::to_string(doc.failures) + " failures\n";
   }
-  if (in.bench_core != nullptr) {
-    md += "* `" + in.bench_core->path + "` — schema `" + in.bench_core->schema + "`, " +
-          std::to_string(in.bench_core->workloads.size()) + " workloads\n";
-  }
-  if (!in.history.empty()) {
-    md += "* bench history — " + std::to_string(in.history.size()) + " row" +
-          (in.history.size() == 1 ? "" : "s") + ", newest rev `" + in.history.back().rev +
-          "`\n";
-  }
   return md;
 }
 
@@ -147,7 +78,7 @@ bool gate_failed(const ReportInputs& in) {
   for (const Outcome& o : in.outcomes) {
     if (o.status == Status::kFail) return true;
   }
-  return !in.bench_findings.empty();
+  return false;
 }
 
 }  // namespace dynaq::report

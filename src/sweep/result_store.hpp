@@ -73,8 +73,9 @@ struct AggregateRow {
 struct JsonOptions {
   // Include per-job wall/cpu times and the sweep perf block. The
   // determinism contract (byte-identical output for any --jobs) holds only
-  // with this off; bench binaries keep it on so the JSON doubles as a perf
-  // record.
+  // with this off. Bench binaries keep it on for --json DIR, so that JSON
+  // doubles as a perf record, and turn it off for the --bench-json
+  // snapshot.
   bool include_perf = true;
 };
 

@@ -271,10 +271,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DynaQController, StrictModeRevertsExchangeOnDrop) {
   DynaQConfig c = cfg4(8'000);
   c.weights = {1, 1};
-  c.strict = true;
   DynaQController ctl(c);  // T = {4000, 4000}
-  // Occupancy far above threshold: one exchange cannot fix it -> strict
-  // mode drops and must restore both thresholds.
+  // Occupancy far above threshold: one exchange cannot fix it -> the
+  // threshold recheck drops and must restore both thresholds.
   const std::vector<std::int64_t> q{7'000, 0};
   EXPECT_EQ(ctl.on_arrival(q, 0, 500), Verdict::kDrop);
   EXPECT_EQ(ctl.threshold(0), 4'000);

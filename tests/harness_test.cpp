@@ -102,6 +102,31 @@ TEST(CliDeathTest, MalformedNumbersExitNamingTheFlag) {
   EXPECT_EXIT(make_cli({"--seeds=1,,2"}).reals("seeds", {}), usage_error, "--seeds: ''");
 }
 
+// Every real-valued flag is a load, rate, weight, count or duration: zero
+// or a negative value used to abort the binary (--load=0, --rate-gbps=0) or
+// fail every job (--loads=0).
+TEST(CliDeathTest, NonPositiveRealExitsNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--load=0"}).real("load", 0.5), usage_error,
+              "--load: '0' is not a positive number");
+  EXPECT_EXIT(make_cli({"--rate-gbps", "-1"}).real("rate-gbps", 1.0), usage_error,
+              "--rate-gbps: '-1' is not a positive number");
+  EXPECT_EXIT(make_cli({"--load=-0"}).real("load", 0.5), usage_error,
+              "--load: '-0' is not a positive number");
+  EXPECT_DOUBLE_EQ(make_cli({"--load=1e-9"}).real("load", 0.5), 1e-9);
+  EXPECT_DOUBLE_EQ(make_cli({}).real("load", 0.5), 0.5);
+}
+
+TEST(CliDeathTest, NonPositiveRealInAListExitsNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--loads=0"}).reals("loads", {}), usage_error,
+              "--loads: '0' is not a positive number");
+  EXPECT_EXIT(make_cli({"--loads=0.5,-0.5"}).reals("loads", {}), usage_error,
+              "--loads: '-0.5' is not a positive number");
+  EXPECT_EQ(make_cli({"--weights=4,0.5"}).reals("weights", {}), (std::vector<double>{4, 0.5}));
+  EXPECT_EQ(make_cli({}).reals("loads", {0.3}), std::vector<double>{0.3});
+}
+
 // A seed axis takes non-negative integers only: --seeds=1.5 used to be
 // recorded as 1.5 but run as seed 1, and a negative seed is undefined once
 // cast to an unsigned seed.

@@ -1,8 +1,8 @@
 // Tests for the one JSON module (src/json, DESIGN.md §2): the parser, the
-// writer, their round trip, and the two artifact paths that go through
-// both — the bench-history ledger and sweep JSON read back by the report
-// loader. The parser and writer cases keep the suite names they had before
-// the module existed (ReportJson, JsonWriter), so their ctest names stay.
+// writer, their round trip, and the artifact path that goes through both —
+// sweep JSON read back by the report loader. The parser and writer cases
+// keep the suite names they had before the module existed (ReportJson,
+// JsonWriter), so their ctest names stay.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 
 #include "json/json.hpp"
 #include "report/artifacts.hpp"
-#include "report/bench_history.hpp"
 #include "sweep/sweep_runner.hpp"
 
 namespace json = dynaq::json;
@@ -63,28 +62,6 @@ TEST(ReportJson, RejectsTrailingGarbage) {
   EXPECT_THROW(json::parse(""), json::ParseError);
 }
 
-TEST(ReportJson, JsonlSkipsBlankLinesAndNamesBadLine) {
-  const json::Value docs = json::parse_lines("{\"a\":1}\n\n{\"b\":2}\n");
-  ASSERT_EQ(docs.as_array().size(), 2u);
-  try {
-    json::parse_lines("{\"ok\":true}\nnot json\n");
-    FAIL() << "expected ParseError";
-  } catch (const json::ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-  }
-}
-
-TEST(Json, ParseLinesNamesTheFailingLocationOnce) {
-  try {
-    json::parse_lines("{\"a\":1}\n{\"b\": \"unterminated\n");
-    FAIL() << "expected ParseError";
-  } catch (const json::ParseError& e) {
-    EXPECT_STREQ(e.what(), "unterminated string at line 2, column 20");
-    EXPECT_EQ(e.line(), 2u);
-    EXPECT_EQ(e.column(), 20u);
-  }
-}
-
 // -------------------------------------------------------------- writer --
 
 TEST(JsonWriter, EscapesAndFormatsDeterministically) {
@@ -130,20 +107,6 @@ TEST(Json, DumpThenParseIsTheIdentity) {
 }
 
 // ------------------------------------------------------------ artifacts --
-
-TEST(Json, LedgerRevWithControlCharactersParsesBack) {
-  report::HistoryRow row;
-  row.rev = "abc\ndef\tghi\x01";
-  const std::string ledger = report::append_history("", row);
-  EXPECT_EQ(ledger.find('\n'), ledger.size() - 1) << "one ledger row is one line";
-  report::HistoryRow next;
-  next.rev = "later";
-  const std::vector<report::HistoryRow> rows =
-      report::parse_history(report::append_history(ledger, next));
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].rev, row.rev);
-  EXPECT_EQ(rows[1].rev, "later");
-}
 
 TEST(Json, SweepStoreReadsBackThroughTheReportLoader) {
   sweep::SweepSpec spec;

@@ -35,9 +35,9 @@
 #      ServiceQueue, packet deques), so every mutation stays inside the
 #      audited component APIs.
 #  13. The report subsystem reads serialized artifacts only (DESIGN.md
-#      §13): src/report evaluates sweep results JSON, BENCH_core.json and
-#      BENCH_history.jsonl, so src/report and tools/report_gen.cpp include
-#      only report/ headers and json/, the leaf JSON module — never a
+#      §13): src/report evaluates sweep results JSON, so src/report and
+#      tools/report_gen.cpp include only report/ headers and json/, the
+#      leaf JSON module — never a
 #      model/runtime header (sim, net, core, transport, topo, harness,
 #      telemetry, sweep, scenario, check, stats, workload): expectations
 #      judge runs from their artifacts, never from simulator internals.
@@ -169,7 +169,7 @@ hits=$(grep -rnE '#include "' src/report/ tools/report_gen.cpp | grep -vE '#incl
   | grep -vE '^\S+:\s*//' || true)
 if [[ -n "$hits" ]]; then
   complain "report-via-artifacts" \
-    "src/report judges runs from serialized artifacts (sweep JSON, BENCH_*.json); it may include only report/ and json/ headers:" \
+    "src/report judges runs from serialized artifacts (sweep JSON); it may include only report/ and json/ headers:" \
     "$hits"
 fi
 

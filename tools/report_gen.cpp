@@ -1,22 +1,15 @@
 // report_gen — render the paper-fidelity report and enforce the regression
 // gate (DESIGN.md §13).
 //
-//   report_gen [--results DIR] [--sweep FILE]... [--bench-core FILE]
-//              [--history FILE --rev REV] [--out FILE] [--gate] [--quiet]
+//   report_gen [--results DIR] [--sweep FILE]... [--out FILE] [--gate] [--quiet]
 //
-//   --results DIR      scan DIR/json/*.json for sweep documents and default
-//                      --out to DIR/REPORT.md
-//   --sweep FILE       add one sweep results JSON explicitly (repeatable;
-//                      e.g. the repo-root BENCH_sweep.json smoke snapshot)
-//   --bench-core FILE  BENCH_core.json event-engine snapshot (default:
-//                      ./BENCH_core.json when present)
-//   --history FILE     BENCH_history.jsonl ledger: append/refresh this
-//                      run's row (requires --rev) and render the trend
-//   --rev REV          git revision recorded in the history row
-//   --out FILE         where to write the markdown report
-//                      (default results/REPORT.md)
-//   --gate             exit 1 when any expectation fails or the bench
-//                      comparator finds a regression
+//   --results DIR  scan DIR/json/*.json for sweep documents and default
+//                  --out to DIR/REPORT.md
+//   --sweep FILE   add one sweep results JSON explicitly (repeatable;
+//                  e.g. the repo-root BENCH_sweep.json smoke snapshot)
+//   --out FILE     where to write the markdown report
+//                  (default results/REPORT.md)
+//   --gate         exit 1 when any expectation fails
 //
 // The tool links only dynaq_report: it reads serialized artifacts, never a
 // simulator (check_conventions.sh rule 13).
@@ -30,7 +23,6 @@
 
 #include "json/json.hpp"
 #include "report/artifacts.hpp"
-#include "report/bench_history.hpp"
 #include "report/expectation.hpp"
 #include "report/markdown.hpp"
 
@@ -61,9 +53,6 @@ bool write_file(const std::string& path, const std::string& text) {
 struct Options {
   std::string results;
   std::vector<std::string> sweeps;
-  std::string bench_core;
-  std::string history;
-  std::string rev = "unknown";
   std::string out;
   bool gate = false;
   bool quiet = false;
@@ -71,8 +60,7 @@ struct Options {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--results DIR] [--sweep FILE]... [--bench-core FILE]\n"
-               "          [--history FILE --rev REV] [--out FILE] [--gate] [--quiet]\n",
+               "usage: %s [--results DIR] [--sweep FILE]... [--out FILE] [--gate] [--quiet]\n",
                argv0);
   return 2;
 }
@@ -96,18 +84,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       const char* v = value();
       if (v == nullptr) return false;
       opt->sweeps.push_back(v);
-    } else if (arg == "--bench-core") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt->bench_core = v;
-    } else if (arg == "--history") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt->history = v;
-    } else if (arg == "--rev") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt->rev = v;
     } else if (arg == "--out") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -165,59 +141,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- BENCH_core.json -------------------------------------------------
-  report::BenchCoreDoc bench_core;
-  bool have_core = false;
-  std::string core_path = opt.bench_core;
-  if (core_path.empty() && fs::exists("BENCH_core.json")) core_path = "BENCH_core.json";
-  if (!core_path.empty()) {
-    std::string text;
-    if (!read_file(core_path, &text)) {
-      std::fprintf(stderr, "report_gen: cannot read %s\n", core_path.c_str());
-      return 2;
-    }
-    try {
-      bench_core = report::load_bench_core_doc(json::parse(text), core_path);
-      have_core = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "report_gen: %s: %s\n", core_path.c_str(), e.what());
-      return 2;
-    }
-  }
-  if (have_core) inputs.bench_core = &bench_core;
-
-  // ---- history ledger --------------------------------------------------
-  bool have_ledger_baseline = false;  // prior rows existed to compare against
-  if (!opt.history.empty()) {
-    std::string existing;
-    read_file(opt.history, &existing);  // absent file = empty ledger
-    have_ledger_baseline = !existing.empty();
-    // The smoke-sweep perf row prefers the doc named like the CI snapshot;
-    // otherwise the first loaded sweep carries the wall-clock trend.
-    const report::SweepDoc* perf_doc = nullptr;
-    for (const report::SweepDoc& doc : inputs.sweeps) {
-      if (perf_doc == nullptr || doc.path.find("BENCH_sweep") != std::string::npos) {
-        perf_doc = &doc;
-      }
-    }
-    try {
-      const std::string updated = report::append_history(
-          existing,
-          report::make_history_row(opt.rev, have_core ? &bench_core : nullptr, perf_doc));
-      if (!write_file(opt.history, updated)) {
-        std::fprintf(stderr, "report_gen: cannot write %s\n", opt.history.c_str());
-        return 2;
-      }
-      inputs.history = report::parse_history(updated);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "report_gen: %s: %s\n", opt.history.c_str(), e.what());
-      return 2;
-    }
-  }
-
   // ---- evaluate + render ----------------------------------------------
   inputs.outcomes = report::evaluate(report::default_catalogue(), inputs.sweeps);
-  inputs.bench_findings = report::history_regressions(inputs.history);
 
   const std::string md = report::render_markdown_report(inputs);
   if (!write_file(opt.out, md)) {
@@ -241,28 +166,12 @@ int main(int argc, char** argv) {
       if (o.status != report::Status::kFail) continue;
       std::printf("report_gen: FAILED expectation %s: %s\n", o.id.c_str(), o.detail.c_str());
     }
-    for (const std::string& finding : inputs.bench_findings) {
-      std::printf("report_gen: BENCH REGRESSION: %s\n", finding.c_str());
-    }
   }
 
   if (opt.gate) {
     if (inputs.sweeps.empty()) {
       std::fprintf(stderr, "report_gen: --gate needs at least one sweep document\n");
       return 2;
-    }
-    // A gate without a populated ledger still judges expectations, but the
-    // bench comparator has no baseline — say so instead of passing silently.
-    if (!have_ledger_baseline) {
-      if (opt.history.empty()) {
-        std::fprintf(stderr, "report_gen: warning: no ledger (--history not given) — "
-                             "bench regression check skipped\n");
-      } else {
-        std::fprintf(stderr,
-                     "report_gen: warning: %s missing or empty — no ledger, bench "
-                     "regression check skipped\n",
-                     opt.history.c_str());
-      }
     }
     if (report::gate_failed(inputs)) return 1;
   }

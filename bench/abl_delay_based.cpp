@@ -72,6 +72,7 @@ Outcome run(core::SchemeKind kind, bool separate_queues, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Extension — delay-based (Vegas, 4 flows) vs loss-based (NewReno, 4 flows)");
   std::puts("on a 1 Gbps port; ideal split 0.50/0.50\n");

@@ -38,6 +38,7 @@ Outcome run(core::SchemeKind kind, double alpha, std::uint64_t seed,
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Ablation — classic Dynamic Threshold vs DynaQ (2 vs 16 flows, equal weights)\n");
   harness::Table t({"scheme", "queue1_Gbps", "queue2_Gbps", "aggregate"});

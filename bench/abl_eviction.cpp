@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynaQEvict, core::SchemeKind::kPql});
   sweep.loads = cli.reals("loads", {0.3, 0.5, 0.7});
   sweep.flows = static_cast<std::size_t>(cli.positive("flows", 1'500));
-  sweep.seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
+  sweep.seeds = cli.naturals("seeds", {1});
 
   std::puts("Ablation — drop vs evict under the Figure 8 workload (web search,");
   std::puts("SPQ(1)/DRR(4), PIAS): does tail eviction remove the port-full races");

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto loads = cli.reals("loads", {0.5, 0.7});
   const auto flows = static_cast<std::size_t>(cli.positive("flows", 1'500));
-  const auto seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
+  const auto seeds = cli.naturals("seeds", {1});
 
   std::puts("Ablation — ECN schemes under DCTCP vs classic RFC 3168 TCP-ECN senders");
   std::printf("(%zu flows per run, web search, SPQ(1)/DRR(4), PIAS)\n\n", flows);

@@ -64,6 +64,7 @@ Outcome run(core::SatisfactionRule rule, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Ablation — satisfaction threshold rule, DRR weights 4:3:2:1,");
   std::puts("queue i has 2^i flows (ideal shares 0.400/0.300/0.200/0.100)\n");

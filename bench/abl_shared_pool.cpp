@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const std::int64_t pool_bytes = cli.positive("pool-kb", 120) * 1000;
   const int flows_a = static_cast<int>(cli.positive("flows-a", 32));
-  if (cli.complain_unknown(cli.flag("strict"))) return 2;
+  cli.reject_unknown();
 
   std::puts("Ablation — shared switch memory (chip-wide DT) vs per-port DynaQ partition");
   std::printf("(%lldKB total; port A receives %d flows, port B receives 2 flows)\n\n",

@@ -51,6 +51,7 @@ Outcome run(bool stale, std::vector<double> weights, std::vector<int> flows,
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Ablation — DynaQ with live vs TNA-stale (deq_qdepth) queue lengths\n");
 

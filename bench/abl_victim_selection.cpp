@@ -43,6 +43,7 @@ double share_error(const std::vector<double>& means) {
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Ablation — victim selection rule, weights 4:3:2:1, queue i has 2^i flows\n");
   harness::Table t({"victim rule", "share_q1", "share_q2", "share_q3", "share_q4", "abs_err"});

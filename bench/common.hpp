@@ -95,7 +95,8 @@ inline std::string fmt(double v, int precision = 3) {
 }
 
 // Writes a numeric time series to `<dir>/<name>.csv` when `dir` is
-// non-empty (every fig bench exposes this via --csv <dir>).
+// non-empty: --csv <dir> of fig03, fig10, fig11 and fig12, whose
+// per-window series no other artifact holds.
 inline void maybe_write_csv(const std::string& dir, const std::string& name,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<double>>& rows) {
@@ -122,28 +123,22 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // and writes the machine-readable JSON:
 //
 //   --jobs N        worker threads (default: hardware concurrency)
-//   --strict        exit non-zero on unrecognized flags
-//   --json DIR      write <DIR>/<name>.json (sweep results schema)
-//   --bench-json P  additionally write the JSON to exactly P without the
-//                   wall/cpu-time fields, so it is byte-identical for any
-//                   --jobs and changes only when a trajectory does (the
-//                   committed BENCH_sweep.json snapshot)
+//   --json DIR      write <DIR>/<name>.json (sweep results schema), the same
+//                   bytes for any --jobs
 //
-// Call after main() has read every binary-specific flag: this is also where
-// unrecognized-flag complaints fire (harness::Cli::complain_unknown).
+// Call after main() has read every binary-specific flag: reading these is
+// the last flag read, so an unrecognized flag exits 2 here, before any job.
 struct SweepRun {
   sweep::ResultStore store;
-  int exit_code = 0;  // 1 when a job failed or (under --strict) a flag was unrecognized
+  int exit_code = 0;  // 1 when a job failed
 };
 
 inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::SweepSpec spec,
                           const sweep::JobFn& fn) {
   sweep::RunnerOptions options;
   options.jobs = static_cast<int>(cli.integer("jobs", 0));
-  const bool strict = cli.flag("strict");
   const std::string json_dir = cli.text("json", "");
-  const std::string bench_json = cli.text("bench-json", "");
-  const bool bad_flags = cli.complain_unknown(strict);
+  cli.reject_unknown();
 
   const sweep::SweepRunner runner(options);
   auto store = runner.run(std::move(name), spec, fn);
@@ -157,10 +152,7 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
     const std::string path = json_dir + "/" + store.name() + ".json";
     if (store.write_json(path)) std::printf("wrote %s\n", path.c_str());
   }
-  if (!bench_json.empty() && store.write_json(bench_json, {.include_perf = false})) {
-    std::printf("wrote %s\n", bench_json.c_str());
-  }
-  const int exit_code = (strict && bad_flags) || !store.all_ok() ? 1 : 0;
+  const int exit_code = store.all_ok() ? 0 : 1;
   return SweepRun{std::move(store), exit_code};
 }
 

@@ -52,7 +52,7 @@ inline std::map<std::string, double> fct_metrics(const harness::DynamicExperimen
 }
 
 // Folds the (scheme, load) aggregates (seed-mean of every metric) back into
-// the map the table/CSV printers consume. With a single seed this is
+// the map the table printers consume. With a single seed this is
 // exactly the per-run summary, so the output matches the old serial driver
 // byte for byte.
 inline FctResults fct_results_from_store(const sweep::ResultStore& store) {
@@ -101,8 +101,8 @@ inline sweep::JobResult run_fct_job(const FctSweepConfig& sweep,
   return job_record(fct_metrics(r), r);
 }
 
-// Runs the whole grid through the sweep engine (--jobs/--strict/--json...,
-// see run_sweep) and re-prints the serial driver's incomplete-flow warnings
+// Runs the whole grid through the sweep engine (--jobs/--json, see
+// run_sweep) and re-prints the serial driver's incomplete-flow warnings
 // in job order.
 inline SweepRun run_fct_sweep(const harness::Cli& cli, std::string name,
                               const FctSweepConfig& sweep) {
@@ -193,29 +193,6 @@ inline void print_drop_breakdown(const sweep::ResultStore& store) {
   }
   t.print();
   std::puts("");
-}
-
-// Tidy CSV export of a whole sweep: one row per (scheme, load) with every
-// summary metric — ready for pandas/gnuplot. Values are seed-means (the
-// per-seed records live in the sweep JSON).
-inline void write_fct_csv(const std::string& dir, const std::string& name,
-                          const FctResults& results) {
-  if (dir.empty()) return;
-  stats::CsvWriter csv(dir + "/" + name + ".csv");
-  if (!csv.ok()) {
-    std::fprintf(stderr, "warning: cannot write %s/%s.csv\n", dir.c_str(), name.c_str());
-    return;
-  }
-  csv.header({"scheme", "load", "avg_overall_ms", "avg_small_ms", "avg_medium_ms",
-              "avg_large_ms", "p99_small_ms", "p99_overall_ms", "flows"});
-  for (const auto& [kind, by_load] : results) {
-    for (const auto& [load, s] : by_load) {
-      csv.row({std::string(core::scheme_name(kind)), fmt(load, 2), fmt(s.avg_overall_ms, 4),
-               fmt(s.avg_small_ms, 4), fmt(s.avg_medium_ms, 4), fmt(s.avg_large_ms, 4),
-               fmt(s.p99_small_ms, 4), fmt(s.p99_overall_ms, 4), std::to_string(s.count)});
-    }
-  }
-  std::printf("wrote %s/%s.csv\n", dir.c_str(), name.c_str());
 }
 
 }  // namespace dynaq::bench

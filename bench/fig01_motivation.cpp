@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   cfg.queue_samples = 1000;
   cfg.queue_sample_skip = full ? 2'000'000 : 400'000;
   cfg.seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Figure 1 — violated fair sharing with the best-effort shared buffer");
   std::puts("(4 senders: queue1 <- 8 flows from 1 host, queue2 <- 24 flows from 3 hosts)\n");

@@ -5,7 +5,8 @@
 
 using namespace dynaq;
 
-int main() {
+int main(int argc, char** argv) {
+  harness::Cli(argc, argv).reject_unknown();
   std::puts("Figure 2 — workloads used in dynamic flow experiments\n");
   const double probs[] = {0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0};
 

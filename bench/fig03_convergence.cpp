@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const auto csv_dir = cli.text("csv", "");
   const auto jsonl_dir = cli.text("jsonl", "");
+  cli.reject_unknown();
 
   std::puts("Figure 3 — throughput convergence of 2 active DRR queues, equal weights");
   std::puts("(queue1: 2 flows, queue2: 16 flows; 4 DRR queues configured)\n");

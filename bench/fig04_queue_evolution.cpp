@@ -10,6 +10,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const auto samples = static_cast<std::size_t>(cli.positive("samples", 1000));
   const auto jsonl_dir = cli.text("jsonl", "");
+  cli.reject_unknown();
 
   std::puts("Figure 4 — queue length evolution of 2 active DRR queues (equal weights)");
   std::puts("(1K sequential per-enqueue/dequeue samples after warmup)\n");

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   // same phases, shorter steady-state stretches.
   const double scale = full ? 1.0 : 0.4;
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Figure 5 — bandwidth sharing, 4 DRR queues, equal weights, queue i has 2^i flows");
   std::printf("(queue4 stops at %.0fs, queue3 at %.0fs, queue2 at %.0fs, end at %.0fs)\n\n",

@@ -9,6 +9,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto duration = seconds(cli.positive("seconds", 10));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Figure 6 — throughput share with queue weights 4:3:2:1, queue i has 2^i flows\n");
 

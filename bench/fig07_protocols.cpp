@@ -10,6 +10,7 @@ int main(int argc, char** argv) {
   const bool full = cli.flag("full");
   const double scale = full ? 1.0 : 0.4;
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::puts("Figure 7 — DynaQ with 2 TCP (queues 1,2) and 2 CUBIC (queues 3,4) senders");
   std::printf("(deactivation schedule as Figure 5, scaled x%.1f)\n\n", scale);

@@ -16,15 +16,13 @@ int main(int argc, char** argv) {
   sweep.loads = cli.reals("loads", full ? std::vector<double>{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
                                         : std::vector<double>{0.3, 0.5, 0.7});
   sweep.flows = static_cast<std::size_t>(cli.positive("flows", full ? 10'000 : 1'500));
-  sweep.seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
-  const auto csv_dir = cli.text("csv", "");
+  sweep.seeds = cli.naturals("seeds", {1});
 
   std::puts("Figure 8 — FCT vs non-ECN schemes, SPQ(1)/DRR(4), web search workload");
   std::printf("(%zu flows per run, PIAS demotion at 100KB, TCP/NewReno)\n\n", sweep.flows);
 
   const auto run = bench::run_fct_sweep(cli, "fig08_fct_non_ecn", sweep);
   const auto results = bench::fct_results_from_store(run.store);
-  bench::write_fct_csv(csv_dir, "fig08", results);
   bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
                           "(a) average FCT, overall", &stats::FctSummary::avg_overall_ms);
   bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,

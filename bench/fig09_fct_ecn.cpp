@@ -16,15 +16,13 @@ int main(int argc, char** argv) {
   sweep.loads = cli.reals("loads", full ? std::vector<double>{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
                                         : std::vector<double>{0.3, 0.5, 0.7});
   sweep.flows = static_cast<std::size_t>(cli.positive("flows", full ? 10'000 : 1'500));
-  sweep.seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
-  const auto csv_dir = cli.text("csv", "");
+  sweep.seeds = cli.naturals("seeds", {1});
 
   std::puts("Figure 9 — FCT vs ECN-based schemes (DCTCP senders), SPQ(1)/DRR(4)");
   std::printf("(%zu flows per run, K=30KB, TCN sojourn threshold 240us)\n\n", sweep.flows);
 
   const auto run = bench::run_fct_sweep(cli, "fig09_fct_ecn", sweep);
   const auto results = bench::fct_results_from_store(run.store);
-  bench::write_fct_csv(csv_dir, "fig09", results);
   bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,
                           "(a) average FCT, overall", &stats::FctSummary::avg_overall_ms);
   bench::print_fct_metric(results, core::SchemeKind::kDynaQ, sweep.loads,

@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const bool series = cli.flag("series");
   const auto csv_dir = cli.text("csv", "");  // print full per-window series
+  cli.reject_unknown();
 
   std::puts("Figure 10 — bandwidth sharing on 10Gbps links (Trident+, 192KB/port)");
   std::puts("(8 WRR queues, queue i has 2i single-flow senders, stops every 50ms)\n");

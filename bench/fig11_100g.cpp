@@ -9,6 +9,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const bool series = cli.flag("series");
   const auto csv_dir = cli.text("csv", "");
+  cli.reject_unknown();
 
   std::puts("Figure 11 — bandwidth sharing on 100Gbps links (Trident 3, 1MB/port, jumbo)");
   std::puts("(8 WRR queues, queue i has 2i single-flow senders, stops every 50ms)\n");

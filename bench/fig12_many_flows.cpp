@@ -9,7 +9,7 @@ using namespace dynaq;
 
 int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
-  const auto seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
+  const auto seeds = cli.naturals("seeds", {1});
   const bool series = cli.flag("series");
   const auto csv_dir = cli.text("csv", "");
   // Paper scale by default (16..2048 senders, 4080 flows) — the run is

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                                              : std::vector<double>{0.3, 0.5, 0.7});
   const auto flows = static_cast<std::size_t>(cli.positive("flows", full ? 10'000 : 1'200));
   const int leaves = static_cast<int>(cli.positive("leaves", full ? 12 : 6));
-  const auto seeds = cli.naturals("seeds", {static_cast<double>(cli.natural("seed", 1))});
+  const auto seeds = cli.naturals("seeds", {1});
   const auto kinds = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kBestEffort, core::SchemeKind::kPql});
 

@@ -162,6 +162,7 @@ int main(int argc, char** argv) {
   const long fanout_width = cli.positive("fanout-width", 100'000);
   const int reps = static_cast<int>(cli.positive("reps", 5));
   const bool assert_budget = cli.flag("assert-budget");
+  cli.reject_unknown();
 
   std::puts("Event-engine microbench (DESIGN.md §9 perf-regression harness)");
   std::printf("(%ld events per pass, best of %d passes)\n\n", events, reps);

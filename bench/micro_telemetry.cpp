@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
   const long ops = cli.positive("ops", 2'000'000);
   const int reps = static_cast<int>(cli.positive("reps", 5));
   const double budget_ns = static_cast<double>(cli.natural("assert-budget-ns", 0));
+  cli.reject_unknown();
 
   std::puts("Telemetry fast-path overhead (DynaQ qdisc enqueue/dequeue hot loop)");
   std::printf("(%ld ops per pass, best of %d passes)\n\n", ops, reps);

@@ -5,7 +5,8 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -52,14 +53,23 @@ inline double slice_mean(const stats::ThroughputMeter& meter, double lo, double 
   return sum / static_cast<double>(std::min(b, n) - a);
 }
 
-// The named catalogue timeline, or nullopt after printing why there is none.
-inline std::optional<scenario::Scenario> catalogue_scenario(
-    const std::string& name, const scenario::ScenarioParams& params) {
+// The --scenario timeline over `duration`, armed once on a zero-length run
+// of `probe`, the config the bench's scenario jobs run. The director then
+// rejects a timeline whose targets that config never installs, such as a
+// controller fault without the control-plane shim. That, like an unknown
+// name, exits 2 naming the flag before any job runs.
+inline scenario::Scenario scenario_flag(const harness::Cli& cli, const std::string& fallback,
+                                        Time duration, harness::StaticExperimentConfig probe) {
   try {
-    return scenario::make_scenario(name, params);
+    scenario::Scenario scn = scenario::make_scenario(
+        cli.text("scenario", fallback), {.duration = duration, .num_queues = kRobQueues});
+    probe.duration = 0;
+    probe.scenario = &scn;
+    harness::run_static_experiment(probe);
+    return scn;
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return std::nullopt;
+    std::fprintf(stderr, "error: --scenario: %s\n", e.what());
+    std::exit(2);
   }
 }
 

@@ -75,29 +75,23 @@ int main(int argc, char** argv) {
   const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold});
-  const std::string scenario_name = cli.text("scenario", "controller_crash");
-  const std::string csv_dir = cli.text("csv", "");
-
-  scenario::ScenarioParams sp;
-  sp.duration = duration;
-  sp.num_queues = bench::kRobQueues;
-  sp.qdisc = "sw.p0";
-  sp.ctrl = "sw.p0.ctrl";  // the bottleneck port's control-plane shim
-  const auto scn = bench::catalogue_scenario(scenario_name, sp);
-  if (!scn) return 1;
+  // Only DynaQ jobs run the timeline, behind the control-plane shim.
+  harness::StaticExperimentConfig probe =
+      bench::rob_config(core::SchemeKind::kDynaQ, duration, 1, nullptr);
+  probe.control_plane = control_config(1);
+  const scenario::Scenario scn = bench::scenario_flag(cli, "controller_crash", duration, probe);
 
   std::printf("Robustness — scenario '%s' against DynaQ's control plane (testbed star)\n",
-              scn->name.c_str());
+              scn.name.c_str());
   std::puts("(watchdog fails over to DT; a reliable re-sync restores ΣT = B on return)\n");
 
   auto run = bench::run_sweep(cli, "rob_controller", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, *scn);
+                                return run_job(point, duration, scn);
                               });
 
   harness::Table t({"scheme", "pre_gbps", "fault_gbps", "recov_gbps", "retention",
                     "failovers", "recovery_us", "actions"});
-  std::vector<std::vector<double>> csv_rows;
   for (const auto& row : run.store.aggregate()) {
     const auto metric = [&row](const char* name) { return bench::row_mean(row, name); };
     t.row({row.coords.front().second.label, bench::fmt(metric("pre_gbps")),
@@ -105,15 +99,8 @@ int main(int argc, char** argv) {
            bench::fmt(metric("throughput_retention")), bench::fmt(metric("failovers"), 0),
            bench::fmt(metric("recovery_time_us"), 0),
            bench::fmt(metric("scenario_actions"), 0)});
-    csv_rows.push_back({metric("pre_gbps"), metric("fault_gbps"), metric("recovered_gbps"),
-                        metric("throughput_retention"), metric("failovers"),
-                        metric("recovery_time_us"), metric("recovery_budget_us")});
   }
   t.print();
-  bench::maybe_write_csv(csv_dir, "rob_controller",
-                         {"pre_gbps", "fault_gbps", "recovered_gbps", "throughput_retention",
-                          "failovers", "recovery_time_us", "recovery_budget_us"},
-                         csv_rows);
   std::puts("\nexpected shape: DynaQ's fault-window retention stays within a few percent");
   std::puts("of the native DT baseline, and recovery_us <= the watchdog+re-sync budget");
   return run.exit_code;

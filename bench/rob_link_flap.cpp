@@ -40,23 +40,17 @@ int main(int argc, char** argv) {
   const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold, core::SchemeKind::kBestEffort});
-  const std::string scenario_name = cli.text("scenario", "link_flap");
-
-  scenario::ScenarioParams sp;
-  sp.duration = duration;
-  sp.num_queues = bench::kRobQueues;
-  sp.qdisc = "sw.p0";
-  sp.link = "sw.p0";  // the receiver downlink: flapping it stalls all queues
-  const auto scn = bench::catalogue_scenario(scenario_name, sp);
-  if (!scn) return 1;
+  const scenario::Scenario scn = bench::scenario_flag(
+      cli, "link_flap", duration,
+      bench::rob_config(core::SchemeKind::kDynaQ, duration, 1, nullptr));
 
   std::printf("Robustness — scenario '%s' on the bottleneck link (testbed star)\n",
-              scn->name.c_str());
+              scn.name.c_str());
   std::puts("(link_down cancels the in-flight serialize timer; senders recover via RTO)\n");
 
   auto run = bench::run_sweep(cli, "rob_link_flap", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, *scn);
+                                return run_job(point, duration, scn);
                               });
 
   harness::Table t({"scheme", "pre_gbps", "flap_gbps", "recov_gbps", "timeouts", "retx",

@@ -48,24 +48,18 @@ int main(int argc, char** argv) {
   const auto seeds = cli.naturals("seeds", {1, 2, 3});
   const auto schemes = bench::schemes_from_cli(
       cli, {core::SchemeKind::kDynaQ, core::SchemeKind::kDynamicThreshold, core::SchemeKind::kBestEffort});
-  const std::string scenario_name = cli.text("scenario", "weight_churn");
-
-  scenario::ScenarioParams sp;
-  sp.duration = duration;
-  sp.num_queues = bench::kRobQueues;
-  sp.qdisc = "sw.p0";  // the receiver downlink — the bottleneck under test
-  sp.link = "sw.p0";
-  const auto scn = bench::catalogue_scenario(scenario_name, sp);
-  if (!scn) return 1;
+  const scenario::Scenario scn = bench::scenario_flag(
+      cli, "weight_churn", duration,
+      bench::rob_config(core::SchemeKind::kDynaQ, duration, 1, nullptr));
 
   std::printf("Robustness — scenario '%s' over %d DRR queues (testbed star)\n",
-              scn->name.c_str(), bench::kRobQueues);
+              scn.name.c_str(), bench::kRobQueues);
   std::puts("(mid-run actions applied through scenario::ScenarioDirector; ΣT = B audited");
   std::puts(" at every weight rebalance)\n");
 
   auto run = bench::run_sweep(cli, "rob_weight_churn", bench::scheme_seed_spec(schemes, seeds),
                               [duration, &scn](const sweep::JobPoint& point) {
-                                return run_job(point, duration, *scn);
+                                return run_job(point, duration, scn);
                               });
 
   harness::Table t({"scheme", "agg_gbps", "jain", "drops", "retx", "actions"});

@@ -3,12 +3,15 @@
 #
 #   bench/run_all.sh [build-dir] [output-dir] [--full] [--jobs N]
 #
-# Text reports land in <output-dir>/<bench>.txt, machine-readable series in
-# <output-dir>/csv/, sweep results (per-job records + seed aggregates,
-# DESIGN.md §7) in <output-dir>/json/, and per-figure telemetry event dumps
-# (fig03/fig04, DESIGN.md §8) as <output-dir>/json/*.events.jsonl. Pass
-# --full for paper-scale parameters; --jobs N fans the sweep-driven figures
-# (8, 9, 12, 13) and the rob_* robustness sweeps out over N worker threads
+# Text reports land in <output-dir>/<bench>.txt, per-window series
+# (fig03, fig10-12) in <output-dir>/csv/, sweep results (per-job records +
+# seed aggregates, DESIGN.md §7) in <output-dir>/json/, and per-figure
+# telemetry event dumps (fig03/fig04, DESIGN.md §8) as
+# <output-dir>/json/*.events.jsonl. Pass --full for paper-scale parameters:
+# it reaches the benches with a scaled default (fig01, fig05, fig07, fig08,
+# fig09, fig13, abl_competitive and the rob_* sweeps), since a bench exits 2
+# on a flag it does not read. --jobs N fans the sweep-driven figures (8, 9,
+# 12, 13) and the rob_* robustness sweeps out over N worker threads
 # (default: all hardware threads).
 set -euo pipefail
 
@@ -45,21 +48,20 @@ run() {
   echo
 }
 
-for fig in fig01_motivation fig02_workloads \
-           fig05_fair_sharing fig06_weights fig07_protocols; do
-  run "$BUILD_DIR/bench/$fig" $FULL_FLAG
-done
-run "$BUILD_DIR/bench/fig04_queue_evolution" $FULL_FLAG --jsonl "$OUT_DIR/json"
-run "$BUILD_DIR/bench/fig03_convergence" $FULL_FLAG --csv "$OUT_DIR/csv" \
-    --jsonl "$OUT_DIR/json"
+run "$BUILD_DIR/bench/fig01_motivation" $FULL_FLAG
+run "$BUILD_DIR/bench/fig02_workloads"
+run "$BUILD_DIR/bench/fig05_fair_sharing" $FULL_FLAG
+run "$BUILD_DIR/bench/fig06_weights"
+run "$BUILD_DIR/bench/fig07_protocols" $FULL_FLAG
+run "$BUILD_DIR/bench/fig04_queue_evolution" --jsonl "$OUT_DIR/json"
+run "$BUILD_DIR/bench/fig03_convergence" --csv "$OUT_DIR/csv" --jsonl "$OUT_DIR/json"
 for fig in fig10_10g fig11_100g; do
-  run "$BUILD_DIR/bench/$fig" $FULL_FLAG --csv "$OUT_DIR/csv"
+  run "$BUILD_DIR/bench/$fig" --csv "$OUT_DIR/csv"
 done
-run "$BUILD_DIR/bench/fig12_many_flows" $FULL_FLAG --csv "$OUT_DIR/csv" \
-    "$JOBS_FLAG" --json "$OUT_DIR/json"
+run "$BUILD_DIR/bench/fig12_many_flows" --csv "$OUT_DIR/csv" "$JOBS_FLAG" \
+    --json "$OUT_DIR/json"
 for fig in fig08_fct_non_ecn fig09_fct_ecn; do
-  run "$BUILD_DIR/bench/$fig" $FULL_FLAG --csv "$OUT_DIR/csv" \
-      "$JOBS_FLAG" --json "$OUT_DIR/json"
+  run "$BUILD_DIR/bench/$fig" $FULL_FLAG "$JOBS_FLAG" --json "$OUT_DIR/json"
 done
 run "$BUILD_DIR/bench/fig13_leaf_spine" $FULL_FLAG "$JOBS_FLAG" --json "$OUT_DIR/json"
 
@@ -82,8 +84,7 @@ done
 # shim through a controller crash, vs the DT failover target; emits the
 # recovery-time / throughput-retention telemetry judged by the §14
 # expectations.
-run "$BUILD_DIR/bench/rob_controller" $FULL_FLAG "$JOBS_FLAG" \
-    --csv "$OUT_DIR/csv" --json "$OUT_DIR/json"
+run "$BUILD_DIR/bench/rob_controller" $FULL_FLAG "$JOBS_FLAG" --json "$OUT_DIR/json"
 
 run "$BUILD_DIR/bench/micro_dynaq_ops"
 run "$BUILD_DIR/bench/micro_simulator"

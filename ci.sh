@@ -22,15 +22,17 @@ for arg in "$@"; do
   [[ "$arg" == "--skip-tsan" ]] && skip_tsan=1
 done
 
-# Smoke sweep (2 schemes x 2 seeds, --jobs 2, --strict): exercises the
-# src/sweep worker pool end to end under the sanitizers, where it doubles as
-# a data-race shakeout. ctest reruns it with --bench-json and compares the
-# result with the committed BENCH_sweep.json (bench_sweep_snapshot_*).
+# Smoke sweep (2 schemes x 2 seeds, --jobs 2): exercises the src/sweep
+# worker pool end to end under the sanitizers, where it doubles as a
+# data-race shakeout. Its sweep JSON, written to <build-dir>, must equal the
+# committed BENCH_sweep.json byte for byte in every build type and for any
+# --jobs; ctest reruns it in each build (bench_sweep_snapshot_*).
 smoke_sweep() {  # smoke_sweep <build-dir> [extra flags...]
   local build="$1"
   shift
   "$build/bench/fig08_fct_non_ecn" --schemes=DynaQ,BestEffort --seeds=1,2 \
-      --loads=0.5 --flows=200 --jobs=2 --strict "$@" > /dev/null
+      --loads=0.5 --flows=200 --jobs=2 --json "$build" "$@" > /dev/null
+  cmp "$build/fig08_fct_non_ecn.json" BENCH_sweep.json
 }
 
 echo "==> [1/4] RelWithDebInfo + -Werror"
@@ -73,25 +75,25 @@ if [[ $skip_asan -eq 0 ]]; then
   cmake --build build-asan -j "$jobs"
   ASAN_OPTIONS=detect_leaks=1 ctest --test-dir build-asan -j "$jobs" --output-on-failure
   echo "==> [2/4] ASan+UBSan smoke sweep (--jobs 2)"
-  ASAN_OPTIONS=detect_leaks=1 smoke_sweep build-asan --json build-asan
+  ASAN_OPTIONS=detect_leaks=1 smoke_sweep build-asan
   echo "==> [2/4] ASan+UBSan scenario smoke (rob_link_flap, DESIGN.md §11)"
   # Mid-run link flaps + weight churn under the sanitizers: timer
   # cancellation and handle mutation must be clean of UB and leaks.
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/rob_link_flap --duration-s=1 \
-      --schemes=DynaQ --seeds=1 --strict > /dev/null
+      --schemes=DynaQ --seeds=1 > /dev/null
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/rob_weight_churn --duration-s=1 \
-      --scenario=mixed --schemes=DynaQ --seeds=1 --strict > /dev/null
+      --scenario=mixed --schemes=DynaQ --seeds=1 > /dev/null
   echo "==> [2/4] ASan+UBSan control-plane smoke (rob_controller, DESIGN.md §14)"
   # Async threshold commits, watchdog failover to DT and the reliable
   # re-sync under the sanitizers: the shim's timer closures and the
   # RecoveryInstrument subscription must be clean of UB and leaks.
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/rob_controller --duration-s=1 \
-      --scenario=controller_crash --schemes=DynaQ --seeds=1 --strict > /dev/null
+      --scenario=controller_crash --schemes=DynaQ --seeds=1 > /dev/null
   echo "==> [2/4] ASan+UBSan baseline smoke (abl_competitive, DESIGN.md §12)"
   # The LQD push-out and Harmonic policies under audit, on the Fig. 8
   # workload, under the sanitizers.
   ASAN_OPTIONS=detect_leaks=1 build-asan/bench/abl_competitive --flows=120 \
-      --seeds=1 --schemes=DynaQ,LQD,Harmonic --strict > /dev/null
+      --seeds=1 --schemes=DynaQ,LQD,Harmonic > /dev/null
 else
   echo "==> [2/4] ASan+UBSan ctest (skipped)"
 fi
@@ -105,7 +107,7 @@ if [[ $skip_tsan -eq 0 ]]; then
   cmake --build build-tsan -j "$jobs" --target sweep_test fig08_fct_non_ecn
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/sweep_test
   echo "==> [3/4] TSan smoke sweep (--jobs 4)"
-  TSAN_OPTIONS=halt_on_error=1 smoke_sweep build-tsan --jobs=4 --json build-tsan
+  TSAN_OPTIONS=halt_on_error=1 smoke_sweep build-tsan --jobs=4
 else
   echo "==> [3/4] TSan sweep worker pool (skipped)"
 fi

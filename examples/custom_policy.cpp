@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "harness/cli.hpp"
 #include "harness/static_experiment.hpp"
 #include "harness/table.hpp"
 #include "net/buffer_policy.hpp"
@@ -73,7 +74,8 @@ harness::StaticExperimentConfig experiment_config() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  harness::Cli(argc, argv).reject_unknown();
   std::puts("Custom policy demo: queue1 has 2 flows, queue2 has 16; fair split is 0.5/0.5\n");
 
   harness::Table t({"policy", "queue1_Gbps", "queue2_Gbps", "aggregate"});

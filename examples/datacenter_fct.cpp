@@ -52,10 +52,13 @@ int main(int argc, char** argv) try {
   const double load = cli.real("load", 0.6);
   const auto flows = static_cast<std::size_t>(cli.positive("flows", 2000));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  const bool leaf_spine = cli.flag("leaf-spine");
+  const int leaves = leaf_spine ? static_cast<int>(cli.positive("leaves", 4)) : 0;
+  cli.reject_unknown();
 
-  if (cli.flag("leaf-spine")) {
+  if (leaf_spine) {
     harness::DynamicLeafSpineConfig cfg;
-    cfg.fabric.num_leaves = static_cast<int>(cli.positive("leaves", 4));
+    cfg.fabric.num_leaves = leaves;
     cfg.fabric.num_spines = cfg.fabric.num_leaves;
     cfg.fabric.hosts_per_leaf = cfg.fabric.num_leaves;
     cfg.fabric.queue_weights.assign(8, 1.0);

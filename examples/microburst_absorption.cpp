@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
   const int burst_flows = static_cast<int>(cli.positive("burst-flows", 6));
   const std::int64_t burst_bytes = cli.positive("burst-kb", 8) * 1000;
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   std::printf("Microburst: %d x %lld KB responses into a buffer pinned by 16 bulk flows\n",
               burst_flows, static_cast<long long>(burst_bytes / 1000));

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/scheme.hpp"
+#include "harness/cli.hpp"
 #include "sim/simulator.hpp"
 #include "stats/throughput_meter.hpp"
 #include "telemetry/hub.hpp"
@@ -17,7 +18,8 @@
 
 using namespace dynaq;
 
-int main() {
+int main(int argc, char** argv) {
+  harness::Cli(argc, argv).reject_unknown();
   // 1. A 1 GbE rack: 4 hosts and a switch whose egress ports run DynaQ
   //    over two DRR service queues and an 85 KB shared buffer.
   sim::Simulator sim;

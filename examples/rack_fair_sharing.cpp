@@ -20,10 +20,12 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto scheme = harness::scheme_flag("scheme", cli.text("scheme", "DynaQ"));
   const auto weights = cli.reals("weights", {1, 1, 1, 1});
-  const auto flows = cli.reals("flows", {2, 4, 8, 16});
+  const auto flows = cli.naturals("flows", {2, 4, 8, 16});
   const double rate_gbps = cli.real("rate-gbps", 1.0);
   const auto buffer_kb = cli.positive("buffer-kb", 85);
   const auto duration = seconds(cli.positive("seconds", 5));
+  const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cli.reject_unknown();
 
   if (weights.size() != flows.size()) {
     std::fprintf(stderr, "--weights and --flows must have the same length\n");
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
   }
   cfg.duration = duration;
   cfg.meter_window = milliseconds(std::int64_t{500});
-  cfg.seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
+  cfg.seed = seed;
 
   std::printf("scheme=%s  rate=%.1fG  buffer=%lldKB  queues=%d\n\n",
               std::string(core::scheme_name(scheme)).c_str(), rate_gbps,

@@ -1,7 +1,7 @@
 // Minimal command-line flag parsing for bench/example binaries:
 // --name=value, --name value, and boolean --name. Every accessor records
 // the flag name it was asked for, so after a binary has read all its flags
-// it can call unknown() / complain_unknown() to catch typos
+// it calls reject_unknown(), which exits 2 on any flag it never read
 // (--seeed=3 used to be silently ignored). Numeric accessors accept only a
 // value that parses completely: --flows=4x, --seeds=abc or a bare --flows
 // print an error naming the flag and exit with status 2, as do a seed that
@@ -151,15 +151,19 @@ class Cli {
     return out;
   }
 
-  // Warns on stderr about unrecognized flags; returns true (i.e. "abort")
-  // only when `strict` is set and at least one flag was unrecognized.
-  bool complain_unknown(bool strict) const {
+  // Call after the binary's last flag read and before it runs anything: a
+  // flag no accessor asked for, --help included, exits 2 naming it and
+  // listing the flags this binary reads.
+  void reject_unknown() const {
     const auto bad = unknown();
+    if (bad.empty()) return;
     for (const auto& name : bad) {
-      std::fprintf(stderr, "%s: unrecognized flag --%s\n", strict ? "error" : "warning",
-                   name.c_str());
+      std::fprintf(stderr, "error: unrecognized flag --%s\n", name.c_str());
     }
-    return strict && !bad.empty();
+    std::fputs("known flags:", stderr);
+    for (const auto& name : queried_) std::fprintf(stderr, " --%s", name.c_str());
+    std::fputs(queried_.empty() ? " none\n" : "\n", stderr);
+    std::exit(2);
   }
 
  private:

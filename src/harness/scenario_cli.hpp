@@ -1,4 +1,4 @@
-// Shared --list-scenarios / --scenario=help handling for the scenario-aware
+// Shared --list-scenarios handling for the scenario-aware
 // bench binaries: prints the scenario::scenario_names() catalogue with the
 // one-line descriptions so users can discover timelines without reading
 // DESIGN.md §11. Call right after constructing the Cli; a true return means
@@ -14,7 +14,7 @@
 namespace dynaq::harness {
 
 inline bool list_scenarios_requested(const Cli& cli) {
-  if (!cli.flag("list-scenarios") && cli.text("scenario", "") != "help") return false;
+  if (!cli.flag("list-scenarios")) return false;
   std::puts("Scenario catalogue (DESIGN.md §11) — pick one with --scenario=<name>:");
   for (const std::string& name : scenario::scenario_names()) {
     const auto desc = scenario::scenario_description(name);

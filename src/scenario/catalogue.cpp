@@ -6,6 +6,15 @@
 namespace dynaq::scenario {
 namespace {
 
+// The star harness's bottleneck, the switch egress port facing host 0: its
+// qdisc and link register under kPort, its control-plane shim (DESIGN.md
+// §14) under kCtrl.
+constexpr const char* kPort = "sw.p0";
+constexpr const char* kCtrl = "sw.p0.ctrl";
+constexpr std::int64_t kBufferBytes = 85'000;  // the testbed star's B
+constexpr int kIncastFanin = 16;
+constexpr std::int64_t kIncastBytes = 20'000;
+
 // The catalogue lays timelines out on eighths of the run: long enough for
 // flows to reach steady state before the first disturbance, with a quiet
 // final eighth so post-fault recovery shows up in the aggregate metrics.
@@ -24,13 +33,13 @@ Scenario weight_churn(const ScenarioParams& p) {
   const Time t8 = p.duration / 8;
   for (int step = 1; step <= 5; ++step) {
     Action a = at(t8 * step, ActionKind::kWeightUpdate);
-    a.target = p.qdisc;
+    a.target = kPort;
     a.weights.assign(static_cast<std::size_t>(p.num_queues), 1.0);
     a.weights[static_cast<std::size_t>((step - 1) % p.num_queues)] = 4.0;
     s.actions.push_back(std::move(a));
   }
   Action restore = at(t8 * 6, ActionKind::kWeightUpdate);
-  restore.target = p.qdisc;
+  restore.target = kPort;
   restore.weights.assign(static_cast<std::size_t>(p.num_queues), 1.0);
   s.actions.push_back(std::move(restore));
   return s;
@@ -44,10 +53,10 @@ Scenario link_flap(const ScenarioParams& p) {
   const Time t8 = p.duration / 8;
   for (const int down_at : {2, 5}) {
     Action down = at(t8 * down_at, ActionKind::kLinkDown);
-    down.target = p.link;
+    down.target = kPort;
     s.actions.push_back(std::move(down));
     Action up = at(t8 * (down_at + 1), ActionKind::kLinkUp);
-    up.target = p.link;
+    up.target = kPort;
     s.actions.push_back(std::move(up));
   }
   return s;
@@ -59,7 +68,7 @@ Scenario service_churn(const ScenarioParams& p) {
   // should absorb the freed buffer and give it back on rejoin.
   Scenario s{"service_churn", {}};
   const Time t8 = p.duration / 8;
-  const int q = p.churn_queue >= 0 ? p.churn_queue : p.num_queues - 1;
+  const int q = p.num_queues - 1;
   Action leave = at(t8 * 2, ActionKind::kServiceLeave);
   leave.queue = q;
   s.actions.push_back(std::move(leave));
@@ -74,8 +83,8 @@ Scenario incast(const ScenarioParams& p) {
   Scenario s{"incast", {}};
   Action burst = at(p.duration / 2, ActionKind::kIncastBurst);
   burst.queue = 0;
-  burst.count = p.incast_fanin;
-  burst.bytes = p.incast_bytes;
+  burst.count = kIncastFanin;
+  burst.bytes = kIncastBytes;
   s.actions.push_back(std::move(burst));
   return s;
 }
@@ -85,12 +94,12 @@ Scenario buffer_squeeze(const ScenarioParams& p) {
   // path exercised mid-run in both directions.
   Scenario s{"buffer_squeeze", {}};
   Action shrink = at(p.duration * 3 / 8, ActionKind::kBufferResize);
-  shrink.target = p.qdisc;
-  shrink.bytes = p.buffer_bytes / 2;
+  shrink.target = kPort;
+  shrink.bytes = kBufferBytes / 2;
   s.actions.push_back(std::move(shrink));
   Action grow = at(p.duration * 6 / 8, ActionKind::kBufferResize);
-  grow.target = p.qdisc;
-  grow.bytes = p.buffer_bytes;
+  grow.target = kPort;
+  grow.bytes = kBufferBytes;
   s.actions.push_back(std::move(grow));
   return s;
 }
@@ -102,23 +111,23 @@ Scenario mixed(const ScenarioParams& p) {
   Scenario s{"mixed", {}};
   const Time t8 = p.duration / 8;
   Action favor = at(t8 * 2, ActionKind::kWeightUpdate);
-  favor.target = p.qdisc;
+  favor.target = kPort;
   favor.weights.assign(static_cast<std::size_t>(p.num_queues), 1.0);
   favor.weights[0] = 4.0;
   s.actions.push_back(std::move(favor));
   Action down = at(t8 * 4, ActionKind::kLinkDown);
-  down.target = p.link;
+  down.target = kPort;
   s.actions.push_back(std::move(down));
   Action up = at(t8 * 4 + t8 / 2, ActionKind::kLinkUp);
-  up.target = p.link;
+  up.target = kPort;
   s.actions.push_back(std::move(up));
   Action burst = at(t8 * 6, ActionKind::kIncastBurst);
   burst.queue = 0;
-  burst.count = p.incast_fanin;
-  burst.bytes = p.incast_bytes;
+  burst.count = kIncastFanin;
+  burst.bytes = kIncastBytes;
   s.actions.push_back(std::move(burst));
   Action restore = at(t8 * 7, ActionKind::kWeightUpdate);
-  restore.target = p.qdisc;
+  restore.target = kPort;
   restore.weights.assign(static_cast<std::size_t>(p.num_queues), 1.0);
   s.actions.push_back(std::move(restore));
   return s;
@@ -130,7 +139,7 @@ Scenario controller_stall(const ScenarioParams& p) {
   // and the restore path needs no re-sync.
   Scenario s{"controller_stall", {}};
   Action a = at(p.duration * 3 / 8, ActionKind::kControllerStall);
-  a.target = p.ctrl;
+  a.target = kCtrl;
   a.duration = p.duration / 4;
   s.actions.push_back(std::move(a));
   return s;
@@ -142,7 +151,7 @@ Scenario controller_crash(const ScenarioParams& p) {
   // by the auditor the moment DynaQ enforcement resumes).
   Scenario s{"controller_crash", {}};
   Action a = at(p.duration * 3 / 8, ActionKind::kControllerCrash);
-  a.target = p.ctrl;
+  a.target = kCtrl;
   a.duration = p.duration / 4;
   s.actions.push_back(std::move(a));
   return s;
@@ -150,13 +159,12 @@ Scenario controller_crash(const ScenarioParams& p) {
 
 Scenario control_loss_window(const ScenarioParams& p) {
   // The controller stays healthy but its updates stop arriving: the channel
-  // drops them at ctrl_loss_rate for a quarter of the run from 3/8. At 100%
-  // loss the commit stream goes quiet and the watchdog fails over exactly
-  // as for a stall.
+  // drops every one for a quarter of the run from 3/8. The commit stream
+  // goes quiet and the watchdog fails over exactly as for a stall.
   Scenario s{"control_loss_window", {}};
   Action a = at(p.duration * 3 / 8, ActionKind::kControlLossWindow);
-  a.target = p.ctrl;
-  a.loss_rate = p.ctrl_loss_rate;
+  a.target = kCtrl;
+  a.loss_rate = 1.0;
   a.duration = p.duration / 4;
   s.actions.push_back(std::move(a));
   return s;

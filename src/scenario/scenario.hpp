@@ -72,22 +72,11 @@ struct Scenario {
   bool empty() const { return actions.empty(); }
 };
 
-// Knobs for the named catalogue below. Handle names default to the star
-// harness convention (switch egress port facing host 0 = the bottleneck).
+// Knobs for the named catalogue below. The timelines target the star
+// harness's bottleneck: the switch egress port facing host 0.
 struct ScenarioParams {
   Time duration = seconds(std::int64_t{10});  // experiment length the timeline spans
   int num_queues = 4;
-  std::string qdisc = "sw.p0";  // weight_update / buffer_resize target
-  std::string link = "sw.p0";   // link fault target
-  std::int64_t buffer_bytes = 85'000;  // restore point for buffer_squeeze
-  int churn_queue = -1;         // service_churn queue; -1 = last queue
-  int incast_fanin = 16;
-  std::int64_t incast_bytes = 20'000;
-  // Control-plane fault targets (DESIGN.md §14): the ControlPlanePolicy
-  // handle at the bottleneck and the channel loss rate the
-  // control_loss_window timeline raises.
-  std::string ctrl = "sw.p0.ctrl";
-  double ctrl_loss_rate = 1.0;
 };
 
 // Builds one of the named scenarios ("none", "weight_churn", "link_flap",

@@ -141,7 +141,7 @@ std::vector<AggregateRow> ResultStore::aggregate() const {
   return rows;
 }
 
-std::string ResultStore::to_json(const JsonOptions& options) const {
+std::string ResultStore::to_json() const {
   json::Value axes = json::Value::array();
   for (const auto& axis : spec_.axes) {
     json::Value values = json::Value::array();
@@ -161,9 +161,6 @@ std::string ResultStore::to_json(const JsonOptions& options) const {
       if (o.trajectory_hash) job.set("trajectory_hash", hash_hex(*o.trajectory_hash));
     } else {
       job.set("error", o.error);
-    }
-    if (options.include_perf) {
-      job.set("perf", json::Value().set("wall_ms", o.wall_ms).set("cpu_ms", o.cpu_ms));
     }
     jobs.push(std::move(job));
   }
@@ -193,6 +190,8 @@ std::string ResultStore::to_json(const JsonOptions& options) const {
   // competitive-ratio block that v5 added; v6: telemetry gained the
   // optional "control" block (control-plane updates/failovers and recovery
   // metrics, DESIGN.md §14); v4: telemetry gained "scenario_actions" (§11).
+  // A v8 document carries no host timings ("perf"), so its bytes are the
+  // same for any worker count.
   json::Value doc;
   doc.set("schema_version", 8)
       .set("sweep", name_)
@@ -200,22 +199,16 @@ std::string ResultStore::to_json(const JsonOptions& options) const {
       .set("jobs", std::move(jobs))
       .set("aggregates", std::move(aggregates))
       .set("failures", failures());
-  if (options.include_perf) {
-    doc.set("perf", json::Value()
-                        .set("jobs", jobs_used_)
-                        .set("total_wall_ms", total_wall_ms_)
-                        .set("max_rss_kb", max_rss_kb_));
-  }
   return doc.dump() + '\n';
 }
 
-bool ResultStore::write_json(const std::string& path, const JsonOptions& options) const {
+bool ResultStore::write_json(const std::string& path) const {
   std::ofstream out(path);
   if (!out.good()) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return false;
   }
-  out << to_json(options);
+  out << to_json();
   return out.good();
 }
 

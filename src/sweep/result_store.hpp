@@ -1,9 +1,8 @@
-// Sweep results: per-job records (metrics, error, runtime, rusage) stored
-// in job-id order, seed-replica aggregation (mean/p50/p99 + 95% confidence
-// interval per metric), and machine-readable emission as JSON (schema in
-// DESIGN.md §7). Everything except the optional perf section is a pure
-// function of the spec and the job results, so emitted bytes are identical
-// for any worker count.
+// Sweep results: per-job records (metrics, telemetry, hash or error)
+// stored in job-id order, seed-replica aggregation (mean/p50/p99 + 95%
+// confidence interval per metric), and machine-readable emission as JSON
+// (schema in DESIGN.md §7). The JSON is a pure function of the spec and
+// the job results, so emitted bytes are identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +42,7 @@ struct JobOutcome {
   std::optional<telemetry::TelemetrySummary> telemetry;  // when the job returned one
   std::optional<std::uint64_t> trajectory_hash;  // when the job returned one
   bool ok = false;
-  std::string error;       // what() of the captured exception, if any
-  double wall_ms = 0.0;    // wall-clock time
-  double cpu_ms = 0.0;     // thread CPU time (user+sys)
+  std::string error;  // what() of the captured exception, if any
 };
 
 // Distribution of one metric across seed replicas.
@@ -70,15 +67,6 @@ struct AggregateRow {
   std::map<std::string, MetricAggregate> metrics;
 };
 
-struct JsonOptions {
-  // Include per-job wall/cpu times and the sweep perf block. The
-  // determinism contract (byte-identical output for any --jobs) holds only
-  // with this off. Bench binaries keep it on for --json DIR, so that JSON
-  // doubles as a perf record, and turn it off for the --bench-json
-  // snapshot.
-  bool include_perf = true;
-};
-
 class ResultStore {
  public:
   ResultStore(std::string sweep_name, SweepSpec spec)
@@ -95,13 +83,6 @@ class ResultStore {
   std::size_t failures() const;
   bool all_ok() const { return failures() == 0; }
 
-  // Sweep-level perf context, reported in the JSON perf block.
-  void set_run_info(int jobs, double total_wall_ms, std::int64_t max_rss_kb) {
-    jobs_used_ = jobs;
-    total_wall_ms_ = total_wall_ms;
-    max_rss_kb_ = max_rss_kb;
-  }
-
   // Groups successful outcomes by every axis except "seed" (in job order)
   // and aggregates each metric. A spec without a seed axis yields one
   // single-replica row per job.
@@ -109,16 +90,13 @@ class ResultStore {
 
   // Serialization. write_json returns false (and warns on stderr) when the
   // path cannot be opened.
-  std::string to_json(const JsonOptions& options = {}) const;
-  bool write_json(const std::string& path, const JsonOptions& options = {}) const;
+  std::string to_json() const;
+  bool write_json(const std::string& path) const;
 
  private:
   std::string name_;
   SweepSpec spec_;
   std::vector<JobOutcome> outcomes_;
-  int jobs_used_ = 0;
-  double total_wall_ms_ = 0.0;
-  std::int64_t max_rss_kb_ = 0;
 };
 
 }  // namespace dynaq::sweep

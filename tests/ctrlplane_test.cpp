@@ -54,8 +54,6 @@ scenario::ScenarioParams params_for(const harness::StaticExperimentConfig& cfg) 
   scenario::ScenarioParams sp;
   sp.duration = cfg.duration;
   sp.num_queues = kNumQueues;
-  sp.qdisc = "sw.p0";
-  sp.ctrl = "sw.p0.ctrl";
   return sp;
 }
 
@@ -152,9 +150,7 @@ TEST(ControlPlane, InlineCrashFreezesThenFailsOver) {
 TEST(ControlPlane, TotalUpdateLossTriggersFailoverAndReliableResync) {
   auto cfg = base_config();
   cfg.control_plane = async_control();
-  auto sp = params_for(cfg);
-  sp.ctrl_loss_rate = 1.0;
-  const auto scn = scenario::make_scenario("control_loss_window", sp);
+  const auto scn = scenario::make_scenario("control_loss_window", params_for(cfg));
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
 

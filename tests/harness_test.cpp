@@ -68,21 +68,33 @@ TEST(Cli, CommaSeparatedStrings) {
 }
 
 TEST(Cli, UnknownFlagsAreTheOnesNeverQueried) {
-  const auto cli = make_cli({"--seeed=3", "--flows=10", "--strict"});
+  const auto cli = make_cli({"--seeed=3", "--flows=10", "--full"});
   EXPECT_EQ(cli.integer("flows", 0), 10);
-  EXPECT_TRUE(cli.flag("strict"));
+  EXPECT_TRUE(cli.flag("full"));
   const auto bad = cli.unknown();
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_EQ(bad[0], "seeed");  // the typo --seed would have been silently ignored
-  EXPECT_TRUE(cli.complain_unknown(/*strict=*/true));
-  EXPECT_FALSE(cli.complain_unknown(/*strict=*/false));
 }
 
 TEST(Cli, NoUnknownFlagsWhenAllQueried) {
   const auto cli = make_cli({"--flows=10"});
   EXPECT_EQ(cli.integer("flows", 0), 10);
   EXPECT_TRUE(cli.unknown().empty());
-  EXPECT_FALSE(cli.complain_unknown(/*strict=*/true));
+  cli.reject_unknown();  // nothing to reject: returns
+}
+
+// A flag no accessor read (a typo, --help, or a flag read only under
+// another flag) stops the binary before it runs anything: exit 2 naming
+// the flag and listing the flags the binary reads.
+TEST(CliDeathTest, UnknownFlagExitsListingTheKnownFlags) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  const auto cli = make_cli({"--seeed=3", "--flows=10"});
+  EXPECT_EQ(cli.integer("flows", 0), 10);
+  EXPECT_EQ(cli.natural("seed", 1), 1);
+  EXPECT_EXIT(cli.reject_unknown(), usage_error,
+              "error: unrecognized flag --seeed\nknown flags: --flows --seed\n");
+  EXPECT_EXIT(make_cli({"--help"}).reject_unknown(), usage_error,
+              "error: unrecognized flag --help\nknown flags: none\n");
 }
 
 // A numeric value that does not parse completely must not run as its
@@ -148,10 +160,10 @@ TEST(CliDeathTest, FractionalOrNegativeSeedsExitNamingTheFlag) {
 TEST(CliDeathTest, BareTextFlagExitsNamingTheFlag) {
   const auto usage_error = ::testing::ExitedWithCode(2);
   EXPECT_EXIT(make_cli({"--csv"}).text("csv", ""), usage_error, "--csv needs a value");
-  EXPECT_EXIT(make_cli({"--json", "--strict"}).text("json", ""), usage_error,
+  EXPECT_EXIT(make_cli({"--json", "--full"}).text("json", ""), usage_error,
               "--json needs a value");
   EXPECT_EQ(make_cli({"--csv", "out"}).text("csv", ""), "out");
-  EXPECT_TRUE(make_cli({"--strict"}).flag("strict"));
+  EXPECT_TRUE(make_cli({"--full"}).flag("full"));
 }
 
 // -------------------------------------------------------------- Table --

@@ -55,9 +55,6 @@ scenario::ScenarioParams params_for(const harness::StaticExperimentConfig& cfg) 
   scenario::ScenarioParams sp;
   sp.duration = cfg.duration;
   sp.num_queues = kNumQueues;
-  sp.qdisc = "sw.p0";
-  sp.link = "sw.p0";
-  sp.buffer_bytes = cfg.star.buffer_bytes;
   return sp;
 }
 
@@ -331,9 +328,7 @@ TEST(ScenarioDeterminism, HashStableAcrossRunsAndSensitiveToTimeline) {
 TEST(IncastBurst, SpawnsFlowsMidRun) {
   auto cfg = star_config(core::SchemeKind::kDynaQ);
   cfg.duration = seconds(std::int64_t{1});
-  auto sp = params_for(cfg);
-  sp.incast_fanin = 8;
-  const auto scn = scenario::make_scenario("incast", sp);
+  const auto scn = scenario::make_scenario("incast", params_for(cfg));
   cfg.scenario = &scn;
   const auto with_incast = harness::run_static_experiment(cfg);
   EXPECT_EQ(with_incast.scenario_actions, 1u);
@@ -341,7 +336,7 @@ TEST(IncastBurst, SpawnsFlowsMidRun) {
   cfg.scenario = nullptr;
   const auto baseline = harness::run_static_experiment(cfg);
   EXPECT_GT(with_incast.sender_totals.bytes_sent, baseline.sender_totals.bytes_sent)
-      << "8 extra 20 KB flows must add traffic";
+      << "16 extra 20 KB flows must add traffic";
 }
 
 TEST(BufferSqueeze, MidRunResizeStaysAudited) {

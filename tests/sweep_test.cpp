@@ -73,18 +73,17 @@ TEST(SweepRunner, TwelveJobSweepJsonBytesIdenticalForAnyWorkerCount) {
     std::this_thread::sleep_for(std::chrono::milliseconds((p.job_id * 7) % 13));
     return fake_job(p);
   };
-  const sweep::JsonOptions no_perf{.include_perf = false};
   const auto store1 = SweepRunner(RunnerOptions{.jobs = 1}).run("det", spec, job);
   const auto store4 = SweepRunner(RunnerOptions{.jobs = 4}).run("det", spec, job);
   ASSERT_EQ(store1.outcomes().size(), 12u);
   EXPECT_TRUE(store1.all_ok());
   EXPECT_TRUE(store4.all_ok());
-  EXPECT_EQ(store1.to_json(no_perf), store4.to_json(no_perf));
+  EXPECT_EQ(store1.to_json(), store4.to_json());
 
   const std::string p1 = testing::TempDir() + "sweep_j1.json";
   const std::string p4 = testing::TempDir() + "sweep_j4.json";
-  ASSERT_TRUE(store1.write_json(p1, no_perf));
-  ASSERT_TRUE(store4.write_json(p4, no_perf));
+  ASSERT_TRUE(store1.write_json(p1));
+  ASSERT_TRUE(store4.write_json(p4));
   const auto slurp = [](const std::string& path) {
     std::ifstream in(path);
     std::stringstream ss;
@@ -118,9 +117,8 @@ TEST(SweepRunner, TrajectoryHashesRideJobResultsForAnyWorkerCount) {
   // Since schema_version 3, per-job "trajectory_hash" is a canonical hex
   // string (u64 values do not survive JSON doubles), byte-identical across
   // --jobs.
-  const sweep::JsonOptions no_perf{.include_perf = false};
-  const std::string json = store1.to_json(no_perf);
-  EXPECT_EQ(json, store4.to_json(no_perf));
+  const std::string json = store1.to_json();
+  EXPECT_EQ(json, store4.to_json());
   EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x0000000000001000\""), std::string::npos);
   EXPECT_NE(json.find("\"trajectory_hash\":\"0x000000000000100b\""), std::string::npos);

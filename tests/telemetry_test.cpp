@@ -384,9 +384,8 @@ TEST(Telemetry, SweepJsonByteIdenticalAcrossWorkerCounts) {
   ASSERT_EQ(s1.failures(), 0u);
   ASSERT_EQ(s3.failures(), 0u);
 
-  const sweep::JsonOptions no_perf{.include_perf = false};
-  const std::string j1 = s1.to_json(no_perf);
-  EXPECT_EQ(j1, s3.to_json(no_perf)) << "telemetry must not break sweep determinism";
+  const std::string j1 = s1.to_json();
+  EXPECT_EQ(j1, s3.to_json()) << "telemetry must not break sweep determinism";
 
   // schema_version 2: per-job telemetry block with the full drop taxonomy.
   EXPECT_NE(j1.find("\"schema_version\""), std::string::npos);

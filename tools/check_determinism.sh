@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Trajectory-hash differential gate (DESIGN.md §10). Runs five sweep
-# benches and asserts, via the per-job trajectory_hash fields of their
-# sweep JSON (schema_version 3 and later), for each one:
+# benches and asserts, for each one:
 #
-#   1. repeat: the same seeds twice yield identical hash sets;
-#   2. jobs:   --jobs 1 and --jobs 4 yield identical hash sets (worker count
-#              must not leak into any trajectory);
-#   3. seed:   seeds 3,4 share no hash with seeds 1,2 (the oracle actually
-#              discriminates — it is not a constant);
+#   1. repeat: the same seeds twice write byte-identical sweep JSON;
+#   2. jobs:   --jobs 1 and --jobs 4 write byte-identical sweep JSON (the
+#              worker count must not leak into any trajectory or metric);
+#   3. seed:   seeds 3,4 share no per-job trajectory_hash with seeds 1,2
+#              (the oracle actually discriminates — it is not a constant);
 #   4. count:  every run carries at least 4 hashes.
 #
 # The benches: the Fig. 8 smoke sweep; rob_weight_churn (mid-run audited
@@ -31,30 +30,38 @@ failed() {  # failed <label> <what> [detail lines]
   fail=1
 }
 
-hashes() {  # hashes <outdir> <bench> <flags...>: the run's sorted hash set
-  local out="$work/$1" bench="$2"
-  shift 2
+sweep() {  # sweep <label> <outdir> <bench> <flags...>: writes <outdir>/<bench>.json
+  local label="$1" out="$work/$2" bench="$3"
+  shift 3
   mkdir -p "$out"
-  "$build/bench/$bench" --strict --json "$out" "$@" > /dev/null
-  grep -o '"trajectory_hash":"0x[0-9a-f]*"' "$out/$bench.json" | sort
+  "$build/bench/$bench" --json "$out" "$@" > /dev/null || failed "$label" "$bench $* exited non-zero"
+}
+
+same() {  # same <label> <what> <json> <json>
+  local diff
+  diff=$(cmp "$3" "$4" 2>&1) || failed "$1" "$2" "$diff"
+}
+
+hashes() {  # hashes <json>: the run's sorted hash set
+  grep -o '"trajectory_hash":"0x[0-9a-f]*"' "$1" | sort
 }
 
 check() {  # check <label> <bench> <flags...>
   local label="$1" bench="$2"
   shift 2
   [[ -x "$build/bench/$bench" ]] || { echo "check_determinism: $bench not built" >&2; exit 1; }
-  local a b j4 other
-  a=$(hashes "${label}_a" "$bench" --seeds=1,2 --jobs=1 "$@")
-  b=$(hashes "${label}_b" "$bench" --seeds=1,2 --jobs=1 "$@")
-  j4=$(hashes "${label}_j4" "$bench" --seeds=1,2 --jobs=4 "$@")
-  other=$(hashes "${label}_seed" "$bench" --seeds=3,4 --jobs=2 "$@")
-  [[ "$a" == "$b" ]] || failed "$label" "same seeds, repeated run" "$(diff <(echo "$a") <(echo "$b"))"
-  [[ "$a" == "$j4" ]] || failed "$label" "--jobs 1 vs --jobs 4" "$(diff <(echo "$a") <(echo "$j4"))"
-  local shared
-  shared=$(comm -12 <(echo "$a") <(echo "$other"))
+  sweep "$label" "${label}_a" "$bench" --seeds=1,2 --jobs=1 "$@"
+  sweep "$label" "${label}_b" "$bench" --seeds=1,2 --jobs=1 "$@"
+  sweep "$label" "${label}_j4" "$bench" --seeds=1,2 --jobs=4 "$@"
+  sweep "$label" "${label}_seed" "$bench" --seeds=3,4 --jobs=2 "$@"
+  local a="$work/${label}_a/$bench.json" other="$work/${label}_seed/$bench.json"
+  same "$label" "same seeds, repeated run" "$a" "$work/${label}_b/$bench.json"
+  same "$label" "--jobs 1 vs --jobs 4" "$a" "$work/${label}_j4/$bench.json"
+  local shared json
+  shared=$(comm -12 <(hashes "$a") <(hashes "$other"))
   [[ -z "$shared" ]] || failed "$label" "different seeds produced a shared hash" "$shared"
-  for run in "$a" "$other"; do
-    [[ $(grep -c trajectory_hash <<< "$run") -ge 4 ]] ||
+  for json in "$a" "$other"; do
+    [[ $(hashes "$json" | wc -l) -ge 4 ]] ||
       failed "$label" "fewer than 4 trajectory_hash fields in a run"
   done
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -90,21 +91,28 @@ inline double active_jain(const stats::ThroughputMeter& meter, std::size_t w,
   return stats::jain_index(xs);
 }
 
+// Drops at the switch ports a harness run observes: every drop on its hub
+// except the host NICs' tail drops.
+inline std::uint64_t switch_drops(const telemetry::TelemetrySummary& s) {
+  return s.total_drops() - s.drops(telemetry::DropReason::kNicFull);
+}
+
 inline std::string fmt(double v, int precision = 3) {
   return harness::Table::num(v, precision);
 }
 
 // Writes a numeric time series to `<dir>/<name>.csv` when `dir` is
 // non-empty: --csv <dir> of fig03, fig10, fig11 and fig12, whose
-// per-window series no other artifact holds.
+// per-window series no other artifact holds. A file that cannot be opened
+// exits 1: the artifact was asked for.
 inline void maybe_write_csv(const std::string& dir, const std::string& name,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<double>>& rows) {
   if (dir.empty()) return;
   stats::CsvWriter csv(dir + "/" + name + ".csv");
   if (!csv.ok()) {
-    std::fprintf(stderr, "warning: cannot write %s/%s.csv\n", dir.c_str(), name.c_str());
-    return;
+    std::fprintf(stderr, "error: cannot write %s/%s.csv\n", dir.c_str(), name.c_str());
+    std::exit(1);
   }
   csv.header(header);
   for (const auto& r : rows) {
@@ -119,10 +127,10 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // ---------------------------------------------------------------------------
 // Sweep-engine entry point shared by the fig binaries (DESIGN.md §7). Reads
 // the common sweep flags, fans the grid out over a worker pool, reports
-// failed jobs on stderr in job order (any failed job makes the exit code 1),
-// and writes the machine-readable JSON:
+// failed jobs on stderr in job order, and writes the machine-readable JSON.
+// A failed job or a JSON file that cannot be written makes the exit code 1.
 //
-//   --jobs N        worker threads (default: hardware concurrency)
+//   --jobs N        worker threads (default and 0: hardware concurrency)
 //   --json DIR      write <DIR>/<name>.json (sweep results schema), the same
 //                   bytes for any --jobs
 //
@@ -130,13 +138,13 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // the last flag read, so an unrecognized flag exits 2 here, before any job.
 struct SweepRun {
   sweep::ResultStore store;
-  int exit_code = 0;  // 1 when a job failed
+  int exit_code = 0;  // 1 when a job failed or the JSON was not written
 };
 
 inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::SweepSpec spec,
                           const sweep::JobFn& fn) {
   sweep::RunnerOptions options;
-  options.jobs = static_cast<int>(cli.integer("jobs", 0));
+  options.jobs = static_cast<int>(cli.natural("jobs", 0));
   const std::string json_dir = cli.text("json", "");
   cli.reject_unknown();
 
@@ -148,11 +156,16 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
                    o.point.name().c_str(), o.error.c_str());
     }
   }
+  int exit_code = store.all_ok() ? 0 : 1;
   if (!json_dir.empty()) {
     const std::string path = json_dir + "/" + store.name() + ".json";
-    if (store.write_json(path)) std::printf("wrote %s\n", path.c_str());
+    if (store.write_json(path)) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      exit_code = 1;
+    }
   }
-  const int exit_code = store.all_ok() ? 0 : 1;
   return SweepRun{std::move(store), exit_code};
 }
 

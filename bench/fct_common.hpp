@@ -27,9 +27,9 @@ struct FctSweepConfig {
 using FctResults =
     std::map<core::SchemeKind, std::map<double, stats::FctSummary>>;
 
-// Scalar metrics of one dynamic-star run, as stored per sweep job. The
-// drop-reason breakdown and exchange count come from the run's telemetry
-// summary (whole-fabric, so drops_* can exceed the bottleneck-only "drops").
+// Scalar metrics of one dynamic run, as stored per sweep job. Drops, marks,
+// the drop-reason breakdown and the exchange count all come from the run's
+// telemetry summary; "drops" counts the switch drops (switch_drops).
 inline std::map<std::string, double> fct_metrics(const harness::DynamicExperimentResult& r) {
   const auto s = r.fcts.summarize();
   std::map<std::string, double> m = {{"avg_overall_ms", s.avg_overall_ms},
@@ -40,8 +40,8 @@ inline std::map<std::string, double> fct_metrics(const harness::DynamicExperimen
                                      {"p99_overall_ms", s.p99_overall_ms},
                                      {"flows", static_cast<double>(s.count)},
                                      {"incomplete", static_cast<double>(r.incomplete)},
-                                     {"drops", static_cast<double>(r.drops)},
-                                     {"marks", static_cast<double>(r.marks)}};
+                                     {"drops", static_cast<double>(switch_drops(r.telemetry))},
+                                     {"marks", static_cast<double>(r.telemetry.ecn_marks)}};
   for (std::size_t i = 0; i < telemetry::kNumDropReasons; ++i) {
     const auto reason = static_cast<telemetry::DropReason>(i);
     m["drops_" + std::string(telemetry::drop_reason_name(reason))] =
@@ -101,14 +101,12 @@ inline sweep::JobResult run_fct_job(const FctSweepConfig& sweep,
   return job_record(fct_metrics(r), r);
 }
 
-// Runs the whole grid through the sweep engine (--jobs/--json, see
-// run_sweep) and re-prints the serial driver's incomplete-flow warnings
-// in job order.
+// Runs an FCT grid (scheme x load x seed) through the sweep engine
+// (--jobs/--json, see run_sweep) and prints, in job order, a warning for
+// every job that left flows incomplete.
 inline SweepRun run_fct_sweep(const harness::Cli& cli, std::string name,
-                              const FctSweepConfig& sweep) {
-  auto run = run_sweep(
-      cli, std::move(name), scheme_load_seed_spec(sweep.schemes, sweep.loads, sweep.seeds),
-      [&sweep](const sweep::JobPoint& point) { return run_fct_job(sweep, point); });
+                              sweep::SweepSpec spec, const sweep::JobFn& fn) {
+  auto run = run_sweep(cli, std::move(name), std::move(spec), fn);
   for (const auto& o : run.store.outcomes()) {
     const auto it = o.metrics.find("incomplete");
     if (it != o.metrics.end() && it->second > 0) {
@@ -117,6 +115,14 @@ inline SweepRun run_fct_sweep(const harness::Cli& cli, std::string name,
     }
   }
   return run;
+}
+
+// The Fig. 8/9 grid of `sweep`, one run_fct_job per point.
+inline SweepRun run_fct_sweep(const harness::Cli& cli, std::string name,
+                              const FctSweepConfig& sweep) {
+  return run_fct_sweep(
+      cli, std::move(name), scheme_load_seed_spec(sweep.schemes, sweep.loads, sweep.seeds),
+      [&sweep](const sweep::JobPoint& point) { return run_fct_job(sweep, point); });
 }
 
 // Prints one metric table: rows = schemes, columns = loads, values

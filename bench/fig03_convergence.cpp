@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   const auto duration = seconds(cli.positive("seconds", 10));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const auto csv_dir = cli.text("csv", "");
-  const auto jsonl_dir = cli.text("jsonl", "");
   cli.reject_unknown();
 
   std::puts("Figure 3 — throughput convergence of 2 active DRR queues, equal weights");
@@ -66,13 +65,6 @@ int main(int argc, char** argv) {
                     r.telemetry.drops(telemetry::DropReason::kVictimTooSmall)),
                 static_cast<unsigned long long>(
                     r.telemetry.drops(telemetry::DropReason::kNicFull)));
-    if (!jsonl_dir.empty()) {
-      const auto path =
-          jsonl_dir + "/fig03_" + std::string(core::scheme_name(kind)) + ".events.jsonl";
-      if (telemetry::write_events_jsonl(path, r.telemetry_events, r.telemetry_ports)) {
-        std::printf("wrote %s (%zu events)\n\n", path.c_str(), r.telemetry_events.size());
-      }
-    }
   }
   std::puts("paper shape: DynaQ converges to an even split; BestEffort skews to queue2;");
   std::puts("PQL is fairer than BestEffort but still uneven");

@@ -9,7 +9,6 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const auto samples = static_cast<std::size_t>(cli.positive("samples", 1000));
-  const auto jsonl_dir = cli.text("jsonl", "");
   cli.reject_unknown();
 
   std::puts("Figure 4 — queue length evolution of 2 active DRR queues (equal weights)");
@@ -61,13 +60,6 @@ int main(int argc, char** argv) {
     }
     t.print();
     std::puts("");
-    if (!jsonl_dir.empty()) {
-      const auto path =
-          jsonl_dir + "/fig04_" + std::string(core::scheme_name(kind)) + ".events.jsonl";
-      if (telemetry::write_events_jsonl(path, r.telemetry_events, r.telemetry_ports)) {
-        std::printf("wrote %s (%zu events)\n\n", path.c_str(), r.telemetry_events.size());
-      }
-    }
   }
   std::puts("paper shape: BestEffort lets queue2 dominate the buffer; PQL caps each queue");
   std::puts("at its 21.25KB reservation; DynaQ's thresholds move so both queues hold");

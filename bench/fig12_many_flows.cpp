@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
         cfg.mss = net::kJumboMss;
         cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
         auto hs = bench::run_high_speed(std::move(cfg));
-        sweep::JobResult job{bench::high_speed_metrics(hs.rows)};
-        job.trajectory_hash = hs.trajectory_hash;
+        auto job = bench::job_record(bench::high_speed_metrics(hs.rows), hs);
         all_rows[point.job_id] = std::move(hs.rows);  // private slot: no locking
         return job;
       });

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
               leaves, leaves * leaves);
   std::printf("(%zu flows per run, 7 services cycling the four workload CDFs)\n\n", flows);
 
-  const auto run = bench::run_sweep(
+  const auto run = bench::run_fct_sweep(
       cli, "fig13_leaf_spine", bench::scheme_load_seed_spec(kinds, loads, seeds),
       [&](const sweep::JobPoint& point) {
         harness::DynamicLeafSpineConfig cfg;
@@ -39,18 +39,9 @@ int main(int argc, char** argv) {
         cfg.load = point.number("load");
         cfg.num_services = 7;
         cfg.seed = static_cast<std::uint64_t>(point.number("seed"));
-        const auto r = harness::run_dynamic_leaf_spine_experiment(cfg);
-        sweep::JobResult job{bench::fct_metrics(r)};
-        job.trajectory_hash = r.trajectory_hash;
-        return job;
+        auto r = harness::run_dynamic_leaf_spine_experiment(cfg);
+        return bench::job_record(bench::fct_metrics(r), r);
       });
-  for (const auto& o : run.store.outcomes()) {
-    const auto it = o.metrics.find("incomplete");
-    if (it != o.metrics.end() && it->second > 0) {
-      std::fprintf(stderr, "warning: %.0f flows incomplete (%s, load %.0f%%)\n", it->second,
-                   o.point.label("scheme").c_str(), o.point.number("load") * 100);
-    }
-  }
   const auto results = bench::fct_results_from_store(run.store);
 
   for (const auto& [title, metric] :

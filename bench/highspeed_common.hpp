@@ -24,9 +24,9 @@ struct HighSpeedRow {
   double aggregate_gbps;
 };
 
-struct HighSpeedRun {
+// The run's telemetry and trajectory hash, and its per-window rows.
+struct HighSpeedRun : harness::RunResult {
   std::vector<HighSpeedRow> rows;  // one per 10 ms meter window
-  std::uint64_t trajectory_hash = 0;
 };
 
 inline HighSpeedRun run_high_speed(HighSpeedConfig cfg) {
@@ -57,19 +57,18 @@ inline HighSpeedRun run_high_speed(HighSpeedConfig cfg) {
   exp.rto_min = cfg.rto_min;
   exp.seed = cfg.seed;
 
-  const auto r = harness::run_static_experiment(exp);
-  HighSpeedRun run{{}, r.trajectory_hash};
+  auto r = harness::run_static_experiment(exp);
+  std::vector<HighSpeedRow> rows;
   for (std::size_t w = 0; w < r.meter.num_windows(); ++w) {
     const Time window_start = static_cast<Time>(w) * exp.meter_window;
     std::vector<bool> active(num_queues);
     for (int q = 0; q < num_queues; ++q) {
       active[static_cast<std::size_t>(q)] = window_start < stop_at[static_cast<std::size_t>(q)];
     }
-    run.rows.push_back(HighSpeedRow{to_milliseconds(window_start) + 5.0,
-                                    active_jain(r.meter, w, active),
-                                    r.meter.aggregate_gbps(w)});
+    rows.push_back(HighSpeedRow{to_milliseconds(window_start) + 5.0,
+                                active_jain(r.meter, w, active), r.meter.aggregate_gbps(w)});
   }
-  return run;
+  return HighSpeedRun{std::move(r), std::move(rows)};
 }
 
 inline void print_high_speed(const std::vector<HighSpeedRow>& rows) {

@@ -1,10 +1,10 @@
 // Micro-benchmark of the telemetry fast path (DESIGN.md §8 overhead
 // model): per-op cost of the DynaQ qdisc hot loop with (a) no hub attached
 // — one null-pointer test per emission site, (b) a hub attached but
-// disabled — one extra bool load, and (c) a hub enabled — counters plus the
-// ring write. Run with --assert-budget-ns N (used by ci.sh) to fail when
-// the attached-disabled path costs more than N ns/op over the no-hub
-// baseline; --ops / --reps scale the measurement.
+// disabled — one extra bool load, and (c) a hub enabled — the counter
+// increments and delay histograms. Run with --assert-budget-ns N (used by
+// ci.sh) to fail when the attached-disabled path costs more than N ns/op
+// over the no-hub baseline; --ops / --reps scale the measurement.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,11 +31,8 @@ double measure(HubMode mode, long ops) {
   spec.kind = core::SchemeKind::kDynaQ;
   auto qd = core::make_mq_qdisc(sim, std::vector<double>(8, 1.0), 192'000, spec,
                                 std::make_unique<net::DrrScheduler>(1500));
-  telemetry::Hub hub(sim, {.ring_capacity = 1024});
-  if (mode != HubMode::kNone) {
-    hub.set_enabled(mode == HubMode::kEnabled);
-    qd->attach_telemetry(hub, "sw.p0");
-  }
+  telemetry::Hub hub(sim, {.enabled = mode == HubMode::kEnabled});
+  if (mode != HubMode::kNone) qd->attach_telemetry(hub, "sw.p0");
 
   std::uint64_t sink = 0;
   int q = 0;

@@ -60,8 +60,8 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
                                                     cp.update_delay);
   }
   metrics["timeouts"] = static_cast<double>(r.sender_totals.timeouts);
-  metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
-  metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
+  metrics["drops"] = static_cast<double>(bench::switch_drops(r.telemetry));
+  metrics["scenario_actions"] = static_cast<double>(r.telemetry.scenario_actions);
   return bench::job_record(std::move(metrics), r);
 }
 

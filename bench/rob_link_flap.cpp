@@ -25,8 +25,8 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
   metrics["recovered_gbps"] = bench::slice_mean(r.meter, 0.75, 1.0);  // after the last link_up
   metrics["timeouts"] = static_cast<double>(r.sender_totals.timeouts);
   metrics["retx"] = static_cast<double>(r.sender_totals.retransmissions);
-  metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
-  metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
+  metrics["drops"] = static_cast<double>(bench::switch_drops(r.telemetry));
+  metrics["scenario_actions"] = static_cast<double>(r.telemetry.scenario_actions);
   return bench::job_record(std::move(metrics), r);
 }
 

@@ -32,9 +32,9 @@ sweep::JobResult run_job(const sweep::JobPoint& point, Time duration,
   std::map<std::string, double> metrics;
   metrics["agg_gbps"] = agg / windows;
   metrics["jain"] = stats::jain_index(per_queue);
-  metrics["drops"] = static_cast<double>(r.bottleneck_stats.dropped);
+  metrics["drops"] = static_cast<double>(bench::switch_drops(r.telemetry));
   metrics["retx"] = static_cast<double>(r.sender_totals.retransmissions);
-  metrics["scenario_actions"] = static_cast<double>(r.scenario_actions);
+  metrics["scenario_actions"] = static_cast<double>(r.telemetry.scenario_actions);
   return bench::job_record(std::move(metrics), r);
 }
 

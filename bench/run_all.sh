@@ -4,10 +4,9 @@
 #   bench/run_all.sh [build-dir] [output-dir] [--full] [--jobs N]
 #
 # Text reports land in <output-dir>/<bench>.txt, per-window series
-# (fig03, fig10-12) in <output-dir>/csv/, sweep results (per-job records +
-# seed aggregates, DESIGN.md §7) in <output-dir>/json/, and per-figure
-# telemetry event dumps (fig03/fig04, DESIGN.md §8) as
-# <output-dir>/json/*.events.jsonl. Pass --full for paper-scale parameters:
+# (fig03, fig10-12) in <output-dir>/csv/, and sweep results (per-job records
+# with their telemetry summaries + seed aggregates, DESIGN.md §7, §8) in
+# <output-dir>/json/. Pass --full for paper-scale parameters:
 # it reaches the benches with a scaled default (fig01, fig05, fig07, fig08,
 # fig09, fig13, abl_competitive and the rob_* sweeps), since a bench exits 2
 # on a flag it does not read. --jobs N fans the sweep-driven figures (8, 9,
@@ -53,8 +52,8 @@ run "$BUILD_DIR/bench/fig02_workloads"
 run "$BUILD_DIR/bench/fig05_fair_sharing" $FULL_FLAG
 run "$BUILD_DIR/bench/fig06_weights"
 run "$BUILD_DIR/bench/fig07_protocols" $FULL_FLAG
-run "$BUILD_DIR/bench/fig04_queue_evolution" --jsonl "$OUT_DIR/json"
-run "$BUILD_DIR/bench/fig03_convergence" --csv "$OUT_DIR/csv" --jsonl "$OUT_DIR/json"
+run "$BUILD_DIR/bench/fig04_queue_evolution"
+run "$BUILD_DIR/bench/fig03_convergence" --csv "$OUT_DIR/csv"
 for fig in fig10_10g fig11_100g; do
   run "$BUILD_DIR/bench/$fig" --csv "$OUT_DIR/csv"
 done

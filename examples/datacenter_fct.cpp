@@ -107,9 +107,11 @@ int main(int argc, char** argv) try {
               std::string(transport::cc_name(cfg.cc)).c_str());
   const auto r = harness::run_dynamic_star_experiment(cfg);
   print_summary(r.fcts.summarize(), r.incomplete);
+  // The hub sees the bottleneck port and the host NICs.
   std::printf("\nbottleneck: %llu drops, %llu ECN marks\n",
-              static_cast<unsigned long long>(r.drops),
-              static_cast<unsigned long long>(r.marks));
+              static_cast<unsigned long long>(
+                  r.telemetry.total_drops() - r.telemetry.drops(telemetry::DropReason::kNicFull)),
+              static_cast<unsigned long long>(r.telemetry.ecn_marks));
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

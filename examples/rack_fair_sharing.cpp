@@ -76,10 +76,17 @@ int main(int argc, char** argv) {
   }
   t.print();
 
+  // The hub sees the bottleneck port and the host NICs; the admission
+  // policy's drops are its three refusal reasons.
+  const auto& tel = r.telemetry;
+  const std::uint64_t policy_drops = tel.drops(telemetry::DropReason::kThreshold) +
+                                     tel.drops(telemetry::DropReason::kVictimUnsatisfied) +
+                                     tel.drops(telemetry::DropReason::kVictimTooSmall);
+  const std::uint64_t port_full = tel.drops(telemetry::DropReason::kPortFull);
   std::printf("\nbottleneck drops: %llu (policy %llu, port-full %llu)\n",
-              static_cast<unsigned long long>(r.bottleneck_stats.dropped),
-              static_cast<unsigned long long>(r.bottleneck_stats.dropped_by_policy),
-              static_cast<unsigned long long>(r.bottleneck_stats.dropped_port_full));
+              static_cast<unsigned long long>(policy_drops + port_full),
+              static_cast<unsigned long long>(policy_drops),
+              static_cast<unsigned long long>(port_full));
   std::printf("sender totals: %llu fast retransmits, %llu timeouts\n",
               static_cast<unsigned long long>(r.sender_totals.fast_retransmits),
               static_cast<unsigned long long>(r.sender_totals.timeouts));

@@ -2,13 +2,14 @@
 // --name=value, --name value, and boolean --name. Every accessor records
 // the flag name it was asked for, so after a binary has read all its flags
 // it calls reject_unknown(), which exits 2 on any flag it never read
-// (--seeed=3 used to be silently ignored). Numeric accessors accept only a
-// value that parses completely: --flows=4x, --seeds=abc or a bare --flows
-// print an error naming the flag and exit with status 2, as do a seed that
-// is negative or fractional (--seeds=1.5), a count, size or duration of 0
-// (--flows=0), a real value that is not positive (--loads=0; every real
-// flag is a load, rate, weight, count or duration) and a bare text flag
-// (--csv).
+// (--seeed=3 used to be silently ignored) and on any argument that is
+// neither a flag nor a flag's value (the 7 in --seconds 1 7). Numeric
+// accessors accept only a value that parses completely: --flows=4x,
+// --seeds=abc or a bare --flows print an error naming the flag and exit
+// with status 2, as do a seed that is negative or fractional (--seeds=1.5),
+// a count, size or duration of 0 (--flows=0), a real value that is not
+// positive (--loads=0; every real flag is a load, rate, weight, count or
+// duration) and a bare text flag (--csv).
 #pragma once
 
 #include <charconv>
@@ -29,7 +30,10 @@ class Cli {
   Cli(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
-      if (!arg.starts_with("--")) continue;
+      if (!arg.starts_with("--")) {
+        stray_.emplace_back(arg);
+        continue;
+      }
       arg.remove_prefix(2);
       if (const auto eq = arg.find('='); eq != std::string_view::npos) {
         values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
@@ -152,11 +156,14 @@ class Cli {
   }
 
   // Call after the binary's last flag read and before it runs anything: a
-  // flag no accessor asked for, --help included, exits 2 naming it and
-  // listing the flags this binary reads.
+  // flag no accessor asked for, --help included, or a stray argument exits
+  // 2 naming it and listing the flags this binary reads.
   void reject_unknown() const {
     const auto bad = unknown();
-    if (bad.empty()) return;
+    if (bad.empty() && stray_.empty()) return;
+    for (const auto& arg : stray_) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
+    }
     for (const auto& name : bad) {
       std::fprintf(stderr, "error: unrecognized flag --%s\n", name.c_str());
     }
@@ -195,6 +202,7 @@ class Cli {
 
   std::map<std::string, std::string> values_;
   std::set<std::string> bare_;  // given without a value
+  std::vector<std::string> stray_;  // neither a flag nor a flag's value
   mutable std::set<std::string> queried_;
 };
 

@@ -40,8 +40,8 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
 
   Run<topo::StarTopology> run(config.star);
   sim::Rng rng(config.seed);
-  net::MultiQueueQdisc& bottleneck = run.topo.port_qdisc(config.client_host);
-  bottleneck.attach_telemetry(run.hub, "sw.p" + std::to_string(config.client_host));
+  run.topo.port_qdisc(config.client_host)
+      .attach_telemetry(run.hub, "sw.p" + std::to_string(config.client_host));
   run.instrument(config.scenario);
 
   const Time initial_srtt = 4 * config.star.link_delay + microseconds(std::int64_t{25});
@@ -73,9 +73,6 @@ DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& con
 
   run.run_until(config.max_sim_time);
   run.finish(result);
-  result.drops = bottleneck.stats().dropped;
-  result.marks = bottleneck.stats().marked;
-  result.bottleneck = bottleneck.stats();
   return result;
 }
 
@@ -143,10 +140,6 @@ DynamicExperimentResult run_dynamic_leaf_spine_experiment(
 
   run.run_until(config.max_sim_time);
   run.finish(result);
-  for (const net::MultiQueueQdisc* q : qdiscs) {
-    result.drops += q->stats().dropped;
-    result.marks += q->stats().marked;
-  }
   return result;
 }
 

@@ -41,12 +41,12 @@ struct DynamicStarConfig {
   const scenario::Scenario* scenario = nullptr;
 };
 
+// The hub observes the measured switch ports — star: the client downlink;
+// leaf-spine: every switch port — and every host NIC, so the telemetry
+// summary's drops other than nic_full are the switch drops.
 struct DynamicExperimentResult : RunResult {
   stats::FctRecorder fcts;
   std::size_t incomplete = 0;  // flows unfinished at max_sim_time (should be 0)
-  std::uint64_t drops = 0;   // at measured bottleneck qdisc(s)
-  std::uint64_t marks = 0;
-  net::MqStats bottleneck;   // star: the client downlink port (leaf-spine: unset)
 };
 
 DynamicExperimentResult run_dynamic_star_experiment(const DynamicStarConfig& config);

@@ -52,9 +52,6 @@ class Run {
   void finish(RunResult& out) const {
     out.events = sim.events_processed();
     out.telemetry = hub.summary();
-    out.telemetry_events = hub.ring_events();
-    out.telemetry_ports = hub.port_names();
-    if (director) out.scenario_actions = director->actions_applied();
     check::TrajectoryHash th;
     th.fold(sim).fold(hub);
     for (const net::MultiQueueQdisc* q : topo.all_qdiscs()) {

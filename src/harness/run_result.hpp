@@ -1,22 +1,18 @@
 // Result fields every harness run reports; harness::Run (run.hpp) fills
-// them when the run finishes.
+// them when the run finishes. The telemetry summary is the run's one copy
+// of its drop, mark, enqueue and scenario-action counts (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "telemetry/hub.hpp"
+#include "telemetry/summary.hpp"
 
 namespace dynaq::harness {
 
 struct RunResult {
   std::uint64_t events = 0;
   telemetry::TelemetrySummary telemetry;
-  std::vector<telemetry::Event> telemetry_events;  // tail of the event ring
-  std::vector<std::string> telemetry_ports;        // observation-point names
-  std::uint64_t trajectory_hash = 0;   // check::TrajectoryHash (DESIGN.md §10)
-  std::uint64_t scenario_actions = 0;  // timeline mutations applied (DESIGN.md §11)
+  std::uint64_t trajectory_hash = 0;  // check::TrajectoryHash (DESIGN.md §10)
 };
 
 }  // namespace dynaq::harness

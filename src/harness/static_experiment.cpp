@@ -31,7 +31,7 @@ StaticExperimentResult run_static_experiment(const StaticExperimentConfig& confi
 
   const int num_queues = static_cast<int>(config.star.queue_weights.size());
   StaticExperimentResult result{
-      {}, stats::ThroughputMeter(num_queues, config.meter_window), {}, {}, {}};
+      {}, stats::ThroughputMeter(num_queues, config.meter_window), {}, {}};
 
   // The bottleneck switch port is the only Port on the hub, so its transmit
   // records are the packets its qdisc dequeues, at the dequeue instant.
@@ -116,7 +116,6 @@ StaticExperimentResult run_static_experiment(const StaticExperimentConfig& confi
     result.sender_totals.bytes_sent += s->stats().bytes_sent;
   }
   result.queue_samples = run.hub.queue_samples();
-  result.bottleneck_stats = run.topo.port_qdisc(config.receiver_host).stats();
   if (recovery) {
     const ctrlplane::RecoveryInstrument::Metrics m = recovery->finalize(config.duration);
     result.telemetry.control.degraded_us = m.degraded_us;

@@ -8,9 +8,9 @@
 
 #include "ctrlplane/control_plane.hpp"
 #include "harness/run_result.hpp"
-#include "net/multi_queue_qdisc.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/throughput_meter.hpp"
+#include "telemetry/hub.hpp"
 #include "topo/star.hpp"
 #include "transport/flow.hpp"
 #include "transport/flow_sender.hpp"
@@ -63,7 +63,6 @@ struct StaticExperimentConfig {
 struct StaticExperimentResult : RunResult {
   stats::ThroughputMeter meter;  // bottleneck data bytes, per queue and window
   std::vector<telemetry::QueueSample> queue_samples;
-  net::MqStats bottleneck_stats;
   transport::SenderStats sender_totals;  // summed over all flows
 };
 

@@ -22,9 +22,6 @@ MultiQueueQdisc::MultiQueueQdisc(sim::Simulator& sim, std::vector<double> weight
     state_.queues[i].weight = weights[i];
   }
   state_.buffer_bytes = buffer_bytes;
-  stats_.dropped_per_queue.assign(weights.size(), 0);
-  stats_.dropped_port_full_per_queue.assign(weights.size(), 0);
-  stats_.enqueued_per_queue.assign(weights.size(), 0);
   policy_->attach(state_);
   scheduler_->attach(state_);
   if (marker_) marker_->attach(state_);
@@ -96,12 +93,10 @@ bool MultiQueueQdisc::enqueue(Packet&& p) {
   if (policy_ok && !fits) policy_->on_admit_aborted(state_, q, p);
   if (!policy_ok || !fits) {
     ++stats_.dropped;
-    ++stats_.dropped_per_queue[static_cast<std::size_t>(q)];
     if (!policy_ok) {
       ++stats_.dropped_by_policy;
     } else {
       ++stats_.dropped_port_full;
-      ++stats_.dropped_port_full_per_queue[static_cast<std::size_t>(q)];
     }
     if (tel_hub != nullptr) {
       emit_packet_event(*tel_hub, telemetry::EventKind::kDrop, q, p,
@@ -128,7 +123,6 @@ bool MultiQueueQdisc::enqueue(Packet&& p) {
   sq.bytes += p.size;
   sq.packets.push_back(std::move(p));
   ++stats_.enqueued;
-  ++stats_.enqueued_per_queue[static_cast<std::size_t>(q)];
   const Packet& queued = sq.packets.back();
   policy_->on_enqueue(state_, q, queued);
   scheduler_->on_enqueue(state_, q);

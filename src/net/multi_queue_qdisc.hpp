@@ -25,9 +25,6 @@ struct MqStats {
   std::uint64_t dropped_by_policy = 0;     // admission policy said no
   std::uint64_t dropped_port_full = 0;     // policy admitted, physical bound rejected
   std::uint64_t marked = 0;
-  std::vector<std::uint64_t> dropped_per_queue;
-  std::vector<std::uint64_t> dropped_port_full_per_queue;
-  std::vector<std::uint64_t> enqueued_per_queue;
 };
 
 class MultiQueueQdisc final : public QueueDisc {

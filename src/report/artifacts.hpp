@@ -38,8 +38,8 @@ struct SweepDoc {
 };
 
 // True when the document has the sweep-results shape (schema_version +
-// sweep + jobs) — used to skip events.jsonl and foreign JSON when scanning
-// a results directory.
+// sweep + jobs) — used to skip foreign JSON when scanning a results
+// directory.
 bool looks_like_sweep_doc(const json::Value& root);
 
 // Throws std::runtime_error (with the path) on a structurally unusable

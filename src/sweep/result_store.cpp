@@ -204,10 +204,7 @@ std::string ResultStore::to_json() const {
 
 bool ResultStore::write_json(const std::string& path) const {
   std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
+  if (!out.good()) return false;
   out << to_json();
   return out.good();
 }

@@ -88,8 +88,8 @@ class ResultStore {
   // single-replica row per job.
   std::vector<AggregateRow> aggregate() const;
 
-  // Serialization. write_json returns false (and warns on stderr) when the
-  // path cannot be opened.
+  // Serialization. write_json returns false when the path cannot be
+  // written; the caller reports it.
   std::string to_json() const;
   bool write_json(const std::string& path) const;
 

@@ -2,10 +2,10 @@
 //
 // Events are small PODs: emitters fill one on the stack and hand it to
 // telemetry::Hub::emit(), which stamps the simulation time, updates the
-// monotonic counters, appends to the bounded ring and fans out to
-// subscribers. Nothing here depends on net/ — the WireRecord mirrors the
-// packet fields the tracer needs so the subsystem stays at the bottom of
-// the dependency stack (only sim/ below it).
+// monotonic counters and fans out to subscribers. Nothing here depends on
+// net/ — the WireRecord mirrors the packet fields the tracer needs so the
+// subsystem stays at the bottom of the dependency stack (only sim/ below
+// it).
 #pragma once
 
 #include <cstdint>
@@ -56,23 +56,6 @@ enum class EventKind : std::uint8_t {
   kControlFailover = 8,    // watchdog engaged DT failover (bytes: staleness µs)
   kControlRestore = 9,     // DynaQ restored after re-sync (bytes: recovery µs)
 };
-inline constexpr std::size_t kNumEventKinds = 10;
-
-constexpr std::string_view event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kEnqueue: return "enqueue";
-    case EventKind::kDrop: return "drop";
-    case EventKind::kEvict: return "evict";
-    case EventKind::kThresholdExchange: return "threshold_exchange";
-    case EventKind::kEcnMark: return "ecn_mark";
-    case EventKind::kScenarioAction: return "scenario_action";
-    case EventKind::kControlUpdate: return "control_update";
-    case EventKind::kControlUpdateLost: return "control_update_lost";
-    case EventKind::kControlFailover: return "control_failover";
-    case EventKind::kControlRestore: return "control_restore";
-  }
-  return "unknown";
-}
 
 struct Event {
   Time when = 0;  // stamped by Hub::emit()

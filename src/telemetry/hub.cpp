@@ -1,9 +1,5 @@
 #include "telemetry/hub.hpp"
 
-#include <cstdio>
-#include <fstream>
-
-#include "json/json.hpp"
 #include "sim/fingerprint.hpp"
 
 namespace dynaq::telemetry {
@@ -12,8 +8,7 @@ Hub::Hub(sim::Simulator& sim, HubConfig config)
     : sim_(sim),
       enabled_(config.enabled),
       fingerprint_events_(config.fingerprint),
-      fingerprint_(sim::kFnv1aOffset),
-      ring_(config.ring_capacity) {}
+      fingerprint_(sim::kFnv1aOffset) {}
 
 int Hub::register_port(const std::string& name) {
   const auto [it, added] = port_ids_.try_emplace(name, static_cast<int>(port_names_.size()));
@@ -73,23 +68,7 @@ void Hub::emit(Event e) {
       ++control_restores_;
       break;
   }
-  if (!ring_.empty()) {
-    if (ring_count_ == ring_.size()) ++ring_overwritten_;
-    ring_[ring_head_] = e;
-    ring_head_ = (ring_head_ + 1) % ring_.size();
-    if (ring_count_ < ring_.size()) ++ring_count_;
-  }
   for (const auto& fn : subscribers_) fn(e);
-}
-
-std::vector<Event> Hub::ring_events() const {
-  std::vector<Event> out;
-  out.reserve(ring_count_);
-  const std::size_t start = (ring_head_ + ring_.size() - ring_count_) % ring_.size();
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
 }
 
 void Hub::emit_wire(WireRecord w) {
@@ -134,36 +113,6 @@ TelemetrySummary Hub::summary() const {
     s.queue_delay.push_back(q);
   }
   return s;
-}
-
-std::string events_to_jsonl(std::span<const Event> events,
-                            std::span<const std::string> port_names) {
-  std::string out;
-  for (const Event& e : events) {
-    const bool named = e.port >= 0 && static_cast<std::size_t>(e.port) < port_names.size();
-    json::Value line;
-    line.set("t_ps", e.when)
-        .set("kind", std::string(event_kind_name(e.kind)))
-        .set("port", named ? port_names[static_cast<std::size_t>(e.port)] : "?")
-        .set("queue", e.queue);
-    if (e.kind == EventKind::kDrop) line.set("reason", std::string(drop_reason_name(e.reason)));
-    if (e.other_queue >= 0) line.set("victim", e.other_queue);
-    line.set("bytes", e.bytes).set("flow", e.flow);
-    out += line.dump();
-    out += '\n';
-  }
-  return out;
-}
-
-bool write_events_jsonl(const std::string& path, std::span<const Event> events,
-                        std::span<const std::string> port_names) {
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << events_to_jsonl(events, port_names);
-  return out.good();
 }
 
 }  // namespace dynaq::telemetry

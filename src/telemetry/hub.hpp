@@ -7,8 +7,8 @@
 // an un-instrumented simulation pays one pointer test per potential
 // emission site; attached-but-disabled pays one extra bool load
 // (enabled()). bench/micro_telemetry asserts both stay under a per-op
-// budget. Emission itself is counter increments plus a bounded-ring write —
-// no allocation.
+// budget. Emission itself is counter increments plus the subscriber fan-out;
+// the hub stores no events.
 #pragma once
 
 #include <array>
@@ -61,7 +61,6 @@ class QueueSeries {
 
 struct HubConfig {
   bool enabled = true;
-  std::size_t ring_capacity = 4096;  // newest events kept; older overwritten
   // Fold every emitted event into an FNV-1a trajectory fingerprint
   // (DESIGN.md §10): one guarded branch inside emit(), allocation-free.
   // check::TrajectoryHash combines this with the engine's pop-stream digest
@@ -75,7 +74,6 @@ class Hub {
 
   sim::Simulator& simulator() { return sim_; }
   bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   // Event-bus half of the trajectory fingerprint (HubConfig::fingerprint):
   // the FNV-1a digest of every event emitted so far, in emission order.
@@ -86,19 +84,13 @@ class Hub {
   // to the same id), so several components may share one point.
   int register_port(const std::string& name);
   const std::string& port_name(int id) const { return port_names_.at(static_cast<std::size_t>(id)); }
-  const std::vector<std::string>& port_names() const { return port_names_; }
 
   // ---- typed event bus ----------------------------------------------------
   // Emitters must gate on enabled() themselves (that is the whole fast
-  // path); emit() stamps the simulation time, bumps the aggregate counters,
-  // writes the ring and fans out to subscribers.
+  // path); emit() stamps the simulation time, bumps the aggregate counters
+  // and fans out to subscribers, the only readers of single events.
   void emit(Event e);
   void subscribe(std::function<void(const Event&)> fn) { subscribers_.push_back(std::move(fn)); }
-
-  std::size_t ring_capacity() const { return ring_.size(); }
-  std::size_t ring_size() const { return ring_count_; }
-  std::uint64_t ring_overwritten() const { return ring_overwritten_; }
-  std::vector<Event> ring_events() const;  // oldest -> newest
 
   // ---- wire taps (packet tracing) -----------------------------------------
   void add_wire_listener(std::function<void(const WireRecord&)> fn) {
@@ -138,14 +130,10 @@ class Hub {
   std::vector<std::string> port_names_;             // by id, in registration order
   std::map<std::string, int, std::less<>> port_ids_;  // name -> id, for register_port
 
-  std::vector<Event> ring_;
-  std::size_t ring_head_ = 0;   // next write slot
-  std::size_t ring_count_ = 0;  // valid entries (<= ring_.size())
-  std::uint64_t ring_overwritten_ = 0;
   std::vector<std::function<void(const Event&)>> subscribers_;
   std::vector<std::function<void(const WireRecord&)>> wire_listeners_;
 
-  // Aggregate counters, monotonic regardless of ring overwrites.
+  // Aggregate counters: the run's one count of each event kind.
   std::array<std::uint64_t, kNumDropReasons> drops_by_reason_{};
   std::uint64_t enqueues_ = 0;
   std::uint64_t evictions_ = 0;
@@ -161,13 +149,5 @@ class Hub {
   std::vector<LogHistogram> delay_hist_;  // indexed by service queue
   QueueSeries series_;
 };
-
-// JSONL export of an event sequence (one JSON object per line, ports
-// resolved to their registered names). Used by the figure binaries to drop
-// machine-readable event dumps next to their CSVs.
-std::string events_to_jsonl(std::span<const Event> events,
-                            std::span<const std::string> port_names);
-bool write_events_jsonl(const std::string& path, std::span<const Event> events,
-                        std::span<const std::string> port_names);
 
 }  // namespace dynaq::telemetry

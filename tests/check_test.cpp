@@ -321,7 +321,7 @@ TEST(AuditorProperty, AllSchemesRunCleanUnderAudit) {
                    .start = 0, .stop = 0, .cc = transport::CcKind::kNewReno}};
     cfg.duration = milliseconds(std::int64_t{300});
     const auto r = harness::run_static_experiment(cfg);
-    EXPECT_GT(r.bottleneck_stats.enqueued, 0u) << scheme_name(kind);
+    EXPECT_GT(r.telemetry.enqueues, 0u) << scheme_name(kind);
   }
 }
 
@@ -373,7 +373,7 @@ TEST(AuditorProperty, StaleQueueInfoModeRunsCleanUnderAudit) {
                  .start = 0, .stop = 0, .cc = transport::CcKind::kNewReno}};
   cfg.duration = milliseconds(std::int64_t{300});
   const auto r = harness::run_static_experiment(cfg);
-  EXPECT_GT(r.bottleneck_stats.enqueued, 0u);
+  EXPECT_GT(r.telemetry.enqueues, 0u);
 }
 
 // Runtime buffer resizes (§III-B3) must re-derive thresholds so ΣT tracks

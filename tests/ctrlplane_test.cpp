@@ -100,7 +100,7 @@ TEST(ControlPlane, CrashFailsOverAndRecoversWithinBudget) {
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
 
-  EXPECT_EQ(r.scenario_actions, 1u);
+  EXPECT_EQ(r.telemetry.scenario_actions, 1u);
   EXPECT_EQ(r.telemetry.control.failovers, 1u);
   EXPECT_EQ(r.telemetry.control.restores, 1u);
   EXPECT_GT(r.telemetry.control.degraded_us, 0);
@@ -154,7 +154,7 @@ TEST(ControlPlane, TotalUpdateLossTriggersFailoverAndReliableResync) {
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
 
-  EXPECT_EQ(r.scenario_actions, 2u) << "window start + restore both count";
+  EXPECT_EQ(r.telemetry.scenario_actions, 2u) << "window start + restore both count";
   EXPECT_GT(r.telemetry.control.updates_lost, 0u);
   EXPECT_GE(r.telemetry.control.failovers, 1u);
   EXPECT_EQ(r.telemetry.control.restores, r.telemetry.control.failovers)

@@ -35,7 +35,7 @@ TEST(Determinism, DynamicStarIsBitIdentical) {
     ASSERT_EQ(a.fcts.records()[i].finish, b.fcts.records()[i].finish) << "flow " << i;
   }
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.telemetry.drops_by_reason, b.telemetry.drops_by_reason);
   EXPECT_NE(a.trajectory_hash, 0u);
   EXPECT_EQ(a.trajectory_hash, b.trajectory_hash);
 }
@@ -117,7 +117,7 @@ TEST(TrajectoryHash, PinnedPerEntryPoint) {
   st.control_plane.update_delay = milliseconds(std::int64_t{1});
   st.scenario = &mixed;
   const auto s = harness::run_static_experiment(st);
-  EXPECT_GT(s.scenario_actions, 0u);
+  EXPECT_GT(s.telemetry.scenario_actions, 0u);
   EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(s.trajectory_hash), "0x05600e22100bf113");
   // The bottleneck meter sits outside the hash; pin the bytes it counted.
   std::int64_t metered = 0;
@@ -248,8 +248,8 @@ TEST_P(ScenarioSweep, TwoQueueContentionSanity) {
   EXPECT_GT(q0 + q1, 0.80) << "link must stay mostly utilized";
   EXPECT_GT(q0, 0.05) << "no queue may starve completely";
   EXPECT_GT(q1, 0.05);
-  EXPECT_LE(r.bottleneck_stats.dropped + r.bottleneck_stats.enqueued,
-            r.bottleneck_stats.enqueued + r.bottleneck_stats.dropped);  // no overflowing counters
+  EXPECT_LE(r.telemetry.total_drops() + r.telemetry.enqueues,
+            r.telemetry.enqueues + r.telemetry.total_drops());  // no overflowing counters
 
   // Strong isolation claim only for the isolating schemes on fair
   // schedulers.

@@ -89,7 +89,7 @@ TEST(Eviction, EvictedBytesCountAsDropsForTransport) {
   cfg.seed = 3;
   const auto r = harness::run_dynamic_star_experiment(cfg);
   EXPECT_EQ(r.incomplete, 0u);
-  EXPECT_GT(r.bottleneck.evicted, 0u) << "the scenario should exercise eviction";
+  EXPECT_GT(r.telemetry.evictions, 0u) << "the scenario should exercise eviction";
 }
 
 TEST(Eviction, SchemeRoundTrip) {

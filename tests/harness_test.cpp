@@ -97,6 +97,17 @@ TEST(CliDeathTest, UnknownFlagExitsListingTheKnownFlags) {
               "error: unrecognized flag --help\nknown flags: none\n");
 }
 
+// An argument that is neither a flag nor a flag's value (the 7 in
+// --seconds 1 7) used to be skipped; it stops the binary like an unknown
+// flag. The 1 stays the value of --seconds.
+TEST(CliDeathTest, StrayArgumentExitsNamingIt) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  const auto cli = make_cli({"--seconds", "1", "7"});
+  EXPECT_EQ(cli.positive("seconds", 10), 1);
+  EXPECT_EXIT(cli.reject_unknown(), usage_error,
+              "error: unexpected argument '7'\nknown flags: --seconds\n");
+}
+
 // A numeric value that does not parse completely must not run as its
 // parsed prefix or as 0: the binary exits with status 2 and names the flag.
 TEST(CliDeathTest, MalformedNumbersExitNamingTheFlag) {
@@ -241,7 +252,7 @@ TEST(StaticExperiment, DeterministicAcrossRuns) {
   const auto a = harness::run_static_experiment(cfg);
   const auto b = harness::run_static_experiment(cfg);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.bottleneck_stats.dropped, b.bottleneck_stats.dropped);
+  EXPECT_EQ(a.telemetry.drops_by_reason, b.telemetry.drops_by_reason);
   for (std::size_t w = 0; w < a.meter.num_windows(); ++w) {
     EXPECT_DOUBLE_EQ(a.meter.gbps(w, 0), b.meter.gbps(w, 0));
   }

@@ -112,7 +112,7 @@ TEST(Catalogue, EveryTimelineArmsAndAppliesInAStarRun) {
     cfg.scenario = &scn;
     try {
       const auto r = harness::run_static_experiment(cfg);
-      EXPECT_GE(r.scenario_actions, scn.actions.size()) << name;
+      EXPECT_GE(r.telemetry.scenario_actions, scn.actions.size()) << name;
     } catch (const std::exception& e) {
       ADD_FAILURE() << name << ": " << e.what();
     }
@@ -215,7 +215,7 @@ TEST(WeightChurn, SigmaTAuditedThroughEveryRebalance) {
   const auto scn = scenario::make_scenario("weight_churn", params_for(cfg));
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
-  EXPECT_EQ(r.scenario_actions, 6u);
+  EXPECT_EQ(r.telemetry.scenario_actions, 6u);
   EXPECT_GT(slice_mean(r.meter, 0.875, 1.0), 0.5) << "line rate after restore";
 }
 
@@ -277,7 +277,7 @@ TEST(LinkFlap, ThroughputCollapsesAndRecovers) {
   const auto scn = scenario::make_scenario("link_flap", params_for(cfg));
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
-  EXPECT_EQ(r.scenario_actions, 4u);
+  EXPECT_EQ(r.telemetry.scenario_actions, 4u);
   const double pre = slice_mean(r.meter, 0.125, 0.25);
   const double outage = slice_mean(r.meter, 0.27, 0.36);
   const double recovered = slice_mean(r.meter, 0.8, 1.0);
@@ -293,7 +293,7 @@ TEST(ServiceChurn, PausedQueueGoesIdleThenRecovers) {
   const auto scn = scenario::make_scenario("service_churn", params_for(cfg));
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
-  EXPECT_EQ(r.scenario_actions, 2u);
+  EXPECT_EQ(r.telemetry.scenario_actions, 2u);
   // Queue 3 leaves at 2/8 and rejoins at 5/8.
   EXPECT_LT(slice_mean(r.meter, 0.35, 0.6, 3), 0.02);
   EXPECT_GT(slice_mean(r.meter, 0.8, 1.0, 3), 0.05);
@@ -331,7 +331,7 @@ TEST(IncastBurst, SpawnsFlowsMidRun) {
   const auto scn = scenario::make_scenario("incast", params_for(cfg));
   cfg.scenario = &scn;
   const auto with_incast = harness::run_static_experiment(cfg);
-  EXPECT_EQ(with_incast.scenario_actions, 1u);
+  EXPECT_EQ(with_incast.telemetry.scenario_actions, 1u);
 
   cfg.scenario = nullptr;
   const auto baseline = harness::run_static_experiment(cfg);
@@ -345,7 +345,7 @@ TEST(BufferSqueeze, MidRunResizeStaysAudited) {
   const auto scn = scenario::make_scenario("buffer_squeeze", params_for(cfg));
   cfg.scenario = &scn;
   const auto r = harness::run_static_experiment(cfg);
-  EXPECT_EQ(r.scenario_actions, 2u) << "shrink + restore";
+  EXPECT_EQ(r.telemetry.scenario_actions, 2u) << "shrink + restore";
   EXPECT_GT(slice_mean(r.meter, 0.8, 1.0), 0.5) << "restored buffer serves line rate";
 }
 

@@ -3,8 +3,11 @@
 // with their buffer sizes, RTTs, ECN thresholds and scheduler settings.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -101,6 +104,21 @@ inline std::string fmt(double v, int precision = 3) {
   return harness::Table::num(v, precision);
 }
 
+// Reads an artifact-directory flag (--json, --csv) and checks, before any
+// simulation runs, that files can be created there: a missing or
+// read-only directory prints "error: cannot write <dir>" and exits 1
+// instead of discarding a finished run. "" when the flag is absent.
+inline std::string artifact_dir(const harness::Cli& cli, const char* flag) {
+  std::string dir = cli.text(flag, "");
+  std::error_code ec;
+  const bool writable = std::filesystem::is_directory(dir, ec) && ::access(dir.c_str(), W_OK) == 0;
+  if (!dir.empty() && !writable) {
+    std::fprintf(stderr, "error: cannot write %s\n", dir.c_str());
+    std::exit(1);
+  }
+  return dir;
+}
+
 // Writes a numeric time series to `<dir>/<name>.csv` when `dir` is
 // non-empty: --csv <dir> of fig03, fig10, fig11 and fig12, whose
 // per-window series no other artifact holds. A file that cannot be opened
@@ -128,7 +146,8 @@ inline void maybe_write_csv(const std::string& dir, const std::string& name,
 // Sweep-engine entry point shared by the fig binaries (DESIGN.md §7). Reads
 // the common sweep flags, fans the grid out over a worker pool, reports
 // failed jobs on stderr in job order, and writes the machine-readable JSON.
-// A failed job or a JSON file that cannot be written makes the exit code 1.
+// A failed job or a JSON file that cannot be written makes the exit code 1;
+// a --json directory that cannot be written exits 1 before any job runs.
 //
 //   --jobs N        worker threads (default and 0: hardware concurrency)
 //   --json DIR      write <DIR>/<name>.json (sweep results schema), the same
@@ -145,7 +164,7 @@ inline SweepRun run_sweep(const harness::Cli& cli, std::string name, sweep::Swee
                           const sweep::JobFn& fn) {
   sweep::RunnerOptions options;
   options.jobs = static_cast<int>(cli.natural("jobs", 0));
-  const std::string json_dir = cli.text("json", "");
+  const std::string json_dir = artifact_dir(cli, "json");
   cli.reject_unknown();
 
   const sweep::SweepRunner runner(options);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto duration = seconds(cli.positive("seconds", 10));
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
-  const auto csv_dir = cli.text("csv", "");
+  const auto csv_dir = bench::artifact_dir(cli, "csv");
   cli.reject_unknown();
 
   std::puts("Figure 3 — throughput convergence of 2 active DRR queues, equal weights");

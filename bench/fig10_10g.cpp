@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const bool series = cli.flag("series");
-  const auto csv_dir = cli.text("csv", "");  // print full per-window series
+  const auto csv_dir = bench::artifact_dir(cli, "csv");  // print full per-window series
   cli.reject_unknown();
 
   std::puts("Figure 10 — bandwidth sharing on 10Gbps links (Trident+, 192KB/port)");

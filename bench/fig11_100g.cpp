@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.natural("seed", 1));
   const bool series = cli.flag("series");
-  const auto csv_dir = cli.text("csv", "");
+  const auto csv_dir = bench::artifact_dir(cli, "csv");
   cli.reject_unknown();
 
   std::puts("Figure 11 — bandwidth sharing on 100Gbps links (Trident 3, 1MB/port, jumbo)");

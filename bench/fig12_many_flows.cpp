@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli(argc, argv);
   const auto seeds = cli.naturals("seeds", {1});
   const bool series = cli.flag("series");
-  const auto csv_dir = cli.text("csv", "");
+  const auto csv_dir = bench::artifact_dir(cli, "csv");
   // Paper scale by default (16..2048 senders, 4080 flows) — the run is
   // short enough; --reduced shrinks the counts 4x for quick smoke tests.
   const int shift = cli.flag("reduced") ? 1 : 3;

@@ -1,6 +1,6 @@
 // Perf-regression harness for the event engine (DESIGN.md §9).
 //
-// Four workloads exercise the hot paths the models hit:
+// Five workloads exercise the hot paths the models hit:
 //   chain  — self-rescheduling tickers (steady-state ring insert/pop)
 //   fanout — bulk out-of-order inserts across a wide horizon (overflow +
 //            window rebuilds + staged-front sorts)
@@ -8,6 +8,11 @@
 //            / propagation hop closure; must never heap-allocate)
 //   cancel — a ticker that arms and cancels a far-future decoy per event
 //            (the retransmit-timer push-out pattern)
+//   skewed — 200 hop chains (one fire per 1.23 us, each scheduling a
+//            delivery 10.65 us ahead) against 300 timers spread over
+//            50 ms: the leaf-spine run's dense near-term head and far tail,
+//            where a width fitted to the whole span turns the staged front
+//            into a sorted vector of thousands of entries
 //
 // Reports ns/event and events/sec (best of --reps passes) and the EventFn
 // heap-fallback count, which must stay zero (the hot path is
@@ -28,14 +33,16 @@ using namespace dynaq;
 namespace {
 
 // Soft budgets (ns/event) for --assert-budget: ~2-2.5x the measured
-// post-rewrite numbers (chain ~19, fanout ~150, packet ~27, cancel ~40),
-// loose enough for a busy shared single-core machine, tight enough to
-// catch a complexity regression. The hard gate is the heap-fallback
+// post-rewrite numbers (chain ~19, fanout ~150, packet ~27, cancel ~40,
+// skewed ~40), loose enough for a busy shared single-core machine, tight
+// enough to catch a complexity regression: a bucket width fitted to the
+// whole span runs skewed at ~230. The hard gate is the heap-fallback
 // count: any per-event allocation fails the run regardless of timing.
 constexpr double kBudgetChainNs = 45.0;
 constexpr double kBudgetFanoutNs = 400.0;
 constexpr double kBudgetPacketNs = 65.0;
 constexpr double kBudgetCancelNs = 95.0;
+constexpr double kBudgetSkewedNs = 80.0;
 
 struct Measurement {
   double ns_per_event = 0;
@@ -138,6 +145,34 @@ Measurement cancel_pass(long n) {
   return {secs(t0, t1) * 1e9 / static_cast<double>(n), sim.event_heap_fallbacks()};
 }
 
+// One hop chain of the skewed workload: each fire schedules a delivery
+// one link delay ahead and the chain's next fire one serialization later.
+struct HopChain {
+  sim::Simulator* sim;
+  long* remaining;
+  void operator()() const {
+    sim->schedule_in(microseconds(10.65), [] {});
+    if (--*remaining > 0) sim->schedule_in(microseconds(1.23), *this);
+  }
+};
+
+// Cost is charged per fired event: chain fires, deliveries and timers.
+Measurement skewed_pass(long n) {
+  sim::Simulator sim;
+  sim::Rng rng(1);
+  long remaining = n;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int t = 0; t < 300; ++t) {
+    sim.schedule_at(rng.uniform_int(0, milliseconds(std::int64_t{50})), [] {});
+  }
+  const Time period = microseconds(1.23);
+  for (int c = 0; c < 200; ++c) sim.schedule_at(period * c / 200, HopChain{&sim, &remaining});
+  sim.run();
+  const auto t1 = std::chrono::steady_clock::now();
+  return {secs(t0, t1) * 1e9 / static_cast<double>(sim.events_processed()),
+          sim.event_heap_fallbacks()};
+}
+
 template <typename F>
 Measurement best_of(F pass, int reps) {
   Measurement best = pass();
@@ -172,6 +207,7 @@ int main(int argc, char** argv) {
       {"fanout", best_of([&] { return fanout_pass(fanout_width); }, reps), kBudgetFanoutNs},
       {"packet", best_of([&] { return packet_pass(events); }, reps), kBudgetPacketNs},
       {"cancel", best_of([&] { return cancel_pass(events); }, reps), kBudgetCancelNs},
+      {"skewed", best_of([&] { return skewed_pass(events); }, reps), kBudgetSkewedNs},
   };
 
   std::printf("%-8s %12s %14s %14s\n", "workload", "ns/event", "Mevents/s", "heap-fallback");

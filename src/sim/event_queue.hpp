@@ -14,10 +14,14 @@
 //    tuned for the simulator's near-monotonic insert pattern. Buckets hold
 //    unsorted 24-byte POD entries {when, seq, slot, gen}; the bucket at
 //    the cursor is staged into a sorted "front" vector and popped with an
-//    index, so steady-state push and pop are O(1). Same-timestamp events
-//    fire in schedule order via a global sequence number (FIFO tie-break),
-//    independent of bucket geometry — rebuilds and width changes cannot
-//    reorder ties, so runs are fully deterministic.
+//    index. The bucket width is fitted to the head of the queue and the
+//    staged front is kept near kFrontBound entries, so an insert shifts a
+//    bounded number of entries; drained buckets give back burst capacity,
+//    so the entry vectors stay proportional to the live events.
+//    Same-timestamp events fire in schedule order via a global sequence
+//    number (FIFO tie-break), independent of bucket geometry — rebuilds
+//    and width changes cannot reorder ties, so runs are fully
+//    deterministic.
 //
 //  * FiredEvent — a move-only handle returned by pop(): invokes the
 //    callable in place in its slot and recycles the slot on destruction
@@ -210,13 +214,21 @@ class [[nodiscard]] FiredEvent {
 // window). Everything earlier than front_end lives in the sorted front_
 // staging vector; everything at or past the window lives in overflow_.
 // When the ring drains, the window jumps to the earliest overflow slot
-// (no empty-bucket years to scan); when the live count outgrows or
-// undershoots the ring, the queue rebuilds with a bucket count ~ the live
-// count and a width of ~3x the mean event spacing.
+// (no empty-bucket years to scan). One rebuild re-buckets every pending
+// entry with a width fitted to the head of the queue; it runs when the
+// live count outgrows or undershoots the ring, and when inserts have
+// grown the staged front past kFrontBound (at most once per live-count
+// pops, so its O(live) cost stays amortized O(1) per event).
 class EventQueue {
  public:
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
+  // Staged entries past which an insert refits the width: an insert into
+  // the sorted front shifts at most about this many entries.
+  static constexpr std::size_t kFrontBound = 256;
+  // Entries a drained bucket keeps reserved; a burst's larger buffer is
+  // given back when the bucket is staged or rebuilt.
+  static constexpr std::size_t kBucketKeep = 64;
 
   EventQueue() { buckets_.resize(nb_); }
 
@@ -227,10 +239,12 @@ class EventQueue {
     insert(Entry{when, seq_++, idx, gen});
     ++size_;
     // Grow to ~2 entries per bucket once occupancy reaches ~8: buckets stay
-    // fat enough that staging amortizes the per-bucket work (scan, swap,
+    // fat enough that staging amortizes the per-bucket work (scan, copy,
     // sort) over several events, and rebuilds stay rare (4x growth apart).
     if (size_ > 8 * nb_ && nb_ < kMaxBuckets) {
       rebuild(std::min(kMaxBuckets, std::bit_ceil(size_ / 2)));
+    } else if (front_.size() - front_head_ > kFrontBound && pops_since_rebuild_ >= size_) {
+      rebuild(nb_);  // the width outgrew the head's density: refit it
     }
     return make_id(idx, gen);
   }
@@ -265,6 +279,7 @@ class EventQueue {
     const Entry e = front_[front_head_++];
     now = e.when;
     --size_;
+    ++pops_since_rebuild_;
     EventPool::Slot& s = pool_.begin_fire(e.slot);
     compact_front();
     // Overlap the next event's slot fetch with this event's execution.
@@ -275,9 +290,20 @@ class EventQueue {
   // Engine statistics for the perf harness and tests.
   std::uint64_t cancelled() const { return cancelled_; }
   std::uint64_t heap_fallbacks() const { return pool_.heap_fallbacks(); }
-  std::size_t arena_capacity() const { return pool_.capacity(); }
-  std::size_t bucket_count() const { return nb_; }
-  Time bucket_width() const { return width_; }
+
+  // Queue memory in entries: `staged` entries wait in the sorted front
+  // (live or cancelled), and `reserved` is the capacity of every entry
+  // vector (front, ring, overflow, rebuild workspace). DESIGN.md §9
+  // states the bounds both keep.
+  struct Footprint {
+    std::size_t staged;
+    std::size_t reserved;
+  };
+  Footprint footprint() const {
+    std::size_t reserved = front_.capacity() + overflow_.capacity() + scratch_.capacity();
+    for (const auto& bucket : buckets_) reserved += bucket.capacity();
+    return {front_.size() - front_head_, reserved};
+  }
 
  private:
   struct Entry {
@@ -297,7 +323,21 @@ class EventQueue {
     return (static_cast<EventId>(gen) << 32) | idx;
   }
 
+  // Empties a bucket, giving back a buffer grown past kBucketKeep.
+  static void release(std::vector<Entry>& bucket) {
+    bucket.clear();
+    if (bucket.capacity() > kBucketKeep) bucket.shrink_to_fit();
+  }
+
   std::int64_t slot_of(Time when) const { return when / width_; }
+
+  // True, and uncounted from stale_, when `e` was cancelled after being
+  // filed; the caller then drops it.
+  bool drop_stale(const Entry& e) {
+    if (stale_ == 0 || pool_.live(e.slot, e.gen)) return false;
+    --stale_;
+    return true;
+  }
 
   void insert(const Entry& e) {
     if (e.when < front_end_) {
@@ -357,39 +397,32 @@ class EventQueue {
     }
   }
 
-  // Stages the next non-empty bucket (or overflow region) into front_.
-  // Precondition: at least one entry exists outside the drained front_.
+  // Stages the next non-empty bucket into front_, first jumping the window
+  // to the overflow when the ring is empty. The bucket is copied, not
+  // swapped, so a front grown by inserts never parks its buffer in the
+  // ring. Precondition: at least one entry exists outside the drained
+  // front_.
   void refill_front() {
     front_.clear();
     front_head_ = 0;
+    if (bucketed_ == 0) rebase_from_overflow();
+    // Scan the frozen window; bucketed_ > 0 guarantees a hit before the
+    // window ends.
     for (;;) {
-      if (bucketed_ == 0) {
-        rebase_from_overflow();
-        // A shrink rebuild inside the rebase realigns front_end_ upward and
-        // may stage entries straight into front_ — they are already the
-        // earliest pending events, so clearing or rescanning would lose or
-        // reorder them.
-        if (!front_.empty()) return;
-        continue;
-      }
-      // Scan the frozen window; bucketed_ > 0 guarantees a hit before the
-      // window ends.
-      for (;;) {
-        auto& bucket = buckets_[static_cast<std::size_t>(cursor_) & (nb_ - 1)];
-        ++cursor_;
-        if (!bucket.empty()) {
-          bucketed_ -= bucket.size();
-          front_.swap(bucket);
-          std::sort(front_.begin(), front_.end(), earlier);
-          front_end_ = cursor_ * width_;
-          // The staged slots are scattered across the pool; start pulling
-          // them in now so the misses overlap instead of serializing one
-          // per pop.
-          const std::size_t lookahead = std::min<std::size_t>(front_.size(), 16);
-          for (std::size_t i = 0; i < lookahead; ++i) pool_.prefetch(front_[i].slot);
-          return;
-        }
-      }
+      auto& bucket = buckets_[static_cast<std::size_t>(cursor_) & (nb_ - 1)];
+      ++cursor_;
+      if (bucket.empty()) continue;
+      bucketed_ -= bucket.size();
+      front_.assign(bucket.begin(), bucket.end());
+      release(bucket);
+      std::sort(front_.begin(), front_.end(), earlier);
+      front_end_ = cursor_ * width_;
+      // The staged slots are scattered across the pool; start pulling
+      // them in now so the misses overlap instead of serializing one per
+      // pop.
+      const std::size_t lookahead = std::min<std::size_t>(front_.size(), 16);
+      for (std::size_t i = 0; i < lookahead; ++i) pool_.prefetch(front_[i].slot);
+      return;
     }
   }
 
@@ -397,19 +430,16 @@ class EventQueue {
   // pull the overflow entries that now fit. Entries cancelled since they
   // were filed are dropped during the scan (each stale entry is visited at
   // most once here, keeping cancellation amortized O(1)). Shrinks the ring
-  // first when the live count has fallen far below it.
+  // instead when the live count has fallen far below it.
   void rebase_from_overflow() {
     if (nb_ > kMinBuckets && size_ < nb_ / 8) {
-      rebuild(std::max(kMinBuckets, std::bit_ceil(4 * std::max<std::size_t>(size_, 1))));
+      rebuild(std::max(kMinBuckets, std::bit_ceil(4 * size_)));
       return;
     }
     std::size_t kept = 0;
     std::int64_t min_slot = 0;
     for (const Entry& e : overflow_) {
-      if (stale_ != 0 && !pool_.live(e.slot, e.gen)) {
-        --stale_;
-        continue;
-      }
+      if (drop_stale(e)) continue;
       const std::int64_t s = slot_of(e.when);
       min_slot = (kept == 0) ? s : std::min(min_slot, s);
       overflow_[kept++] = e;
@@ -419,17 +449,9 @@ class EventQueue {
     // overflow entry survived the purge.
     window_lo_ = cursor_ = min_slot;
     front_end_ = cursor_ * width_;
-    take_overflow_into_window();
-  }
-
-  void take_overflow_into_window() {
     const std::int64_t window_hi = window_lo_ + static_cast<std::int64_t>(nb_);
-    std::size_t kept = 0;
-    for (Entry& e : overflow_) {
-      if (stale_ != 0 && !pool_.live(e.slot, e.gen)) {
-        --stale_;
-        continue;
-      }
+    kept = 0;
+    for (const Entry& e : overflow_) {
       const std::int64_t s = slot_of(e.when);
       if (s < window_hi) {
         buckets_[static_cast<std::size_t>(s) & (nb_ - 1)].push_back(e);
@@ -441,65 +463,59 @@ class EventQueue {
     overflow_.resize(kept);
   }
 
-  // Re-buckets everything outside front_ with `new_nb` buckets and a
-  // width fitted to the current population. Never reorders anything:
+  // Re-buckets every pending entry, the staged front's included, into
+  // `new_nb` buckets of a width fitted to the head of the queue, and
+  // realigns the window at the earliest entry. The one rebuild for every
+  // trigger (growth, shrink, a fat front). Never reorders anything:
   // ordering is decided at pop time by (when, seq) alone.
   void rebuild(std::size_t new_nb) {
     scratch_.clear();
+    const auto gather = [this](const Entry& e) {
+      if (!drop_stale(e)) scratch_.push_back(e);
+    };
+    std::for_each(front_.begin() + static_cast<std::ptrdiff_t>(front_head_), front_.end(), gather);
+    front_.clear();
+    front_head_ = 0;
     for (auto& bucket : buckets_) {
-      for (const Entry& e : bucket) {
-        if (stale_ != 0 && !pool_.live(e.slot, e.gen)) {
-          --stale_;
-          continue;
-        }
-        scratch_.push_back(e);
-      }
-      bucket.clear();
+      std::for_each(bucket.begin(), bucket.end(), gather);
+      release(bucket);
     }
-    for (const Entry& e : overflow_) {
-      if (stale_ != 0 && !pool_.live(e.slot, e.gen)) {
-        --stale_;
-        continue;
-      }
-      scratch_.push_back(e);
-    }
+    std::for_each(overflow_.begin(), overflow_.end(), gather);
     overflow_.clear();
     bucketed_ = 0;
-
-    width_ = fitted_width(new_nb);
+    pops_since_rebuild_ = 0;
     nb_ = new_nb;
     buckets_.resize(nb_);
-    // Realign the window to the new width, just past the staged region.
-    cursor_ = window_lo_ = (front_end_ + width_ - 1) / width_;
+    // size_ > 0 at every trigger, so a live entry was gathered.
+    Time lo = scratch_.front().when;
+    for (const Entry& e : scratch_) lo = std::min(lo, e.when);
+    width_ = fitted_width(lo);
+    cursor_ = window_lo_ = slot_of(lo);
     front_end_ = cursor_ * width_;
-
     for (const Entry& e : scratch_) insert(e);
   }
 
-  // Width ~ 3x the mean spacing of the entries in scratch_ (so the steady
-  // state holds a few events per bucket), floored so `new_nb` slots cover
-  // the whole gathered span — otherwise a dense far-flung population would
-  // round-trip through overflow_ once per window pass. Deterministic:
-  // depends only on queue contents.
-  Time fitted_width(std::size_t new_nb) const {
-    if (scratch_.size() < 2) return width_;
-    Time lo = scratch_.front().when;
-    Time hi = lo;
-    for (const Entry& e : scratch_) {
-      lo = std::min(lo, e.when);
-      hi = std::max(hi, e.when);
-    }
-    if (hi == lo) return width_;  // one timestamp: any width works
-    Time per = (hi - lo) / static_cast<Time>(scratch_.size() - 1);
-    per = std::min(per, kSecond);  // keep nb*width far from Time overflow
-    const Time span_per_slot = (hi - lo) / static_cast<Time>(new_nb) + 1;
-    return std::max({Time{1}, 3 * per, span_per_slot});
+  // Width = 3x the mean spacing of the earliest quarter of scratch_ (the
+  // head of the queue, whose earliest entry is at `lo`), so the buckets
+  // about to be staged hold a few events each; a far tail waits in
+  // overflow_ rather than widening every bucket. Keeps the old width when
+  // the head is one timestamp. Reorders scratch_; deterministic: depends
+  // only on queue contents.
+  Time fitted_width(Time lo) {
+    const std::size_t q = scratch_.size() / 4;
+    if (q == 0) return width_;
+    const auto kth = scratch_.begin() + static_cast<std::ptrdiff_t>(q);
+    std::nth_element(scratch_.begin(), kth, scratch_.end(),
+                     [](const Entry& a, const Entry& b) { return a.when < b.when; });
+    // Capping the spacing at a second keeps nb*width far from Time overflow.
+    const Time per = std::min((kth->when - lo) / static_cast<Time>(q), kSecond);
+    return per == 0 ? width_ : 3 * per;
   }
 
   // Calendar state. Invariants: every pending entry with when < front_end_
   // is in front_[front_head_..]; ring entries occupy absolute slots in
   // [cursor_, window_lo_ + nb_); overflow entries lie at or past the
-  // window. front_end_ == cursor_ * width_ and only ever grows.
+  // window. front_end_ == cursor_ * width_.
   std::vector<std::vector<Entry>> buckets_;
   std::size_t nb_ = kMinBuckets;
   Time width_ = kMicrosecond;
@@ -515,6 +531,7 @@ class EventQueue {
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;   // live (scheduled - fired - cancelled)
   std::size_t stale_ = 0;  // cancelled entries still filed somewhere
+  std::size_t pops_since_rebuild_ = 0;
   std::uint64_t cancelled_ = 0;
   EventPool pool_;
 };

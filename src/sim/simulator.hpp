@@ -8,9 +8,10 @@
 // Scheduling is allocation-free on the hot path (DESIGN.md §9): callables
 // go straight into the Simulator's event arena (EventPool slots with
 // inline storage — no std::function, no per-event heap allocation) and the
-// pending-event set is a calendar queue with O(1) push/pop and O(1)
-// cancellation. Determinism contract: events at the same timestamp fire in
-// the order they were scheduled.
+// pending-event set is a calendar queue whose staged front and memory stay
+// proportional to the live events, with O(1) cancellation. Determinism
+// contract: events at the same timestamp fire in the order they were
+// scheduled.
 #pragma once
 
 #include <concepts>
@@ -62,13 +63,14 @@ class Simulator {
     running_ = false;
   }
 
-  // Runs until simulated time reaches `deadline` (events at exactly
-  // `deadline` are executed), the event set drains, or stop() is called.
+  // Runs every event at or before `deadline`, then leaves the clock at the
+  // deadline; the next run picks up from there. stop() ends the loop early
+  // and leaves the clock at the stopping event.
   void run_until(Time deadline) {
     running_ = true;
     while (running_ && !events_.empty() && events_.next_time() <= deadline) step();
+    if (running_ && now_ < deadline) now_ = deadline;
     running_ = false;
-    if (now_ < deadline && events_.empty()) now_ = deadline;
   }
 
   // Stops the run loop after the current event returns.
@@ -78,11 +80,10 @@ class Simulator {
   std::size_t events_pending() const { return events_.size(); }
   std::uint64_t events_cancelled() const { return events_.cancelled(); }
 
-  // Event-arena statistics (perf-regression harness, DESIGN.md §9):
+  // Event-arena statistic (perf-regression harness, DESIGN.md §9):
   // callables too large for a slot's inline buffer fall back to the heap;
   // the hot path is expected to keep that count at zero.
   std::uint64_t event_heap_fallbacks() const { return events_.heap_fallbacks(); }
-  std::size_t event_arena_slots() const { return events_.arena_capacity(); }
 
   // Trajectory fingerprint (DESIGN.md §10): when enabled, every popped
   // event folds (when, seq) into an FNV-1a digest — one guarded branch per

@@ -1,7 +1,8 @@
 // Contract tests for the calendar-queue event engine (DESIGN.md §9):
 // strict (when, seq) pop order across rebuilds and window jumps, O(1)
-// cancellation semantics, inline-vs-heap callable storage, and a
-// differential fuzz against a reference model.
+// cancellation semantics, inline-vs-heap callable storage, the staged
+// front and memory bounds on a skewed population, and a differential fuzz
+// against a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "sim/event_fn.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -130,6 +132,108 @@ TEST(EventQueue, WideTimeRangeStaysSorted) {
   }
 }
 
+// --------------------------------------------------------------- bounds --
+
+// One hop chain of the leaf-spine-shaped population (bench/micro_simulator's
+// skewed workload): each fire schedules a delivery one link delay ahead and
+// the chain's next fire one serialization later.
+struct HopChain {
+  sim::EventQueue* q;
+  const Time* now;
+  long* remaining;
+  void operator()() const {
+    q->push(*now + microseconds(10.65), [] {});
+    if (--*remaining > 0) q->push(*now + microseconds(1.23), *this);
+  }
+};
+
+// A ticker or periodic timer: re-arms itself `period` after each fire.
+struct Rearm {
+  sim::EventQueue* q;
+  const Time* now;
+  Time period;
+  void operator()() const { q->push(*now + period, *this); }
+};
+
+// 200 hop chains against 300 timers spread over 50 ms: a dense near-term
+// head and a far tail. A width fitted to the whole span staged nearly
+// every near-term event in one sorted front (1,945 entries here) and left
+// each grown front's buffer in the ring (19 entries reserved per peak live
+// one by the end). With the bounds this run stages at most ~220 entries
+// and reserves ~8x the peak live count.
+TEST(EventQueue, SkewedPopulationKeepsFrontAndMemoryBounded) {
+  sim::EventQueue q;
+  Time now = 0;
+  long remaining = 1'000'000;
+  sim::Rng rng(1);
+  for (int t = 0; t < 300; ++t) {
+    q.push(rng.uniform_int(0, milliseconds(std::int64_t{50})), [] {});
+  }
+  const Time period = microseconds(1.23);
+  for (int c = 0; c < 200; ++c) q.push(period * c / 200, HopChain{&q, &now, &remaining});
+
+  std::size_t peak_live = 0;
+  std::size_t max_staged = 0;
+  std::size_t max_reserved = 0;
+  for (long pops = 0; !q.empty(); ++pops) {
+    peak_live = std::max(peak_live, q.size());
+    q.pop(now)();
+    if (pops % 16 == 0) {  // footprint() walks every bucket
+      const sim::EventQueue::Footprint f = q.footprint();
+      max_staged = std::max(max_staged, f.staged);
+      max_reserved = std::max(max_reserved, f.reserved);
+    }
+  }
+  // The refit runs at most once per live-count pops, so the front may pass
+  // kFrontBound by what lands in it before that many pops have gone by.
+  EXPECT_LE(max_staged, sim::EventQueue::kFrontBound + sim::EventQueue::kFrontBound / 4);
+  EXPECT_LE(max_reserved, 12 * peak_live) << "peak live " << peak_live;
+  EXPECT_GT(peak_live, 2000u) << "the population should outgrow the first rebuilds";
+}
+
+// A width fitted while the queue was sparse goes stale when its head gets
+// denser without the live count growing: 400 tickers re-arming 1 ns
+// ahead all land in one staged bucket of the 3 ms width fitted to events
+// 1 ms apart, and no growth rebuild comes (500 live, 64 buckets). The
+// fat-front refit re-buckets them once live-count pops have passed.
+TEST(EventQueue, DenserHeadRefitsTheWidth) {
+  sim::EventQueue q;
+  Time now = 0;
+  for (int i = 1; i <= 130; ++i) q.push(milliseconds(std::int64_t{1}) * i, [] {});
+  for (int i = 0; i < 30; ++i) q.pop(now)();
+  for (int t = 0; t < 400; ++t) q.push(now + t, Rearm{&q, &now, nanoseconds(1)});
+  ASSERT_EQ(q.size(), 500u);
+  std::size_t settled_max = 0;
+  for (int pops = 0; pops < 20'000; ++pops) {
+    q.pop(now)();
+    if (pops >= 1'000) settled_max = std::max(settled_max, q.footprint().staged);
+  }
+  EXPECT_LE(settled_max, sim::EventQueue::kFrontBound);
+}
+
+// A steady population whose staged bucket stays wide: 130 timers 10 us
+// apart re-arming every 1.3 ms (so the fitted width is 30 us) and 4
+// tickers re-arming every 10 ns, which append to the staged front
+// thousands of times per bucket. Swapping the staged bucket with the front
+// parked one grown front buffer in the ring per staging, so the reserved
+// entries grew with run length at a constant live count (19,160 after
+// 100 k pops, 70,256 after 400 k; now 2,336 and 2,432).
+TEST(EventQueue, ReservedEntriesDoNotGrowWithRunLength) {
+  sim::EventQueue q;
+  Time now = 0;
+  for (int i = 1; i <= 130; ++i) {
+    q.push(microseconds(std::int64_t{10}) * i, Rearm{&q, &now, microseconds(std::int64_t{1300})});
+  }
+  for (int t = 0; t < 4; ++t) q.push(nanoseconds(10) + t, Rearm{&q, &now, nanoseconds(10)});
+  std::size_t early = 0;
+  for (int pops = 1; pops <= 400'000; ++pops) {
+    q.pop(now)();
+    if (pops == 100'000) early = q.footprint().reserved;
+  }
+  // Four times the run, against first-touch bucket reserves still coming in.
+  EXPECT_LT(q.footprint().reserved, 2 * early) << "after " << to_microseconds(now) << " us";
+}
+
 // --------------------------------------------------------- cancellation --
 
 TEST(EventQueue, CancelPendingEventNeverFires) {
@@ -222,7 +326,12 @@ struct RefEntry {
 // Differential fuzz against a reference model: random interleavings of
 // push / pop / cancel (with same-timestamp bursts and far-future pushes
 // that exercise the overflow window) must pop in exact (when, seq) order.
+// Density phases rotate every kPhaseOps ops: the original mix; dense
+// near-term bursts against a far tail, which fatten the staged front and
+// grow the ring; and sparse stretches that drain it. Refits, growth and
+// shrink rebuilds and overflow jumps all run under the reference model.
 TEST(EventQueue, FuzzMatchesReferenceModel) {
+  constexpr int kPhaseOps = 750;
   for (int round = 0; round < 60; ++round) {
     std::mt19937_64 rng(round);
     sim::EventQueue q;
@@ -243,21 +352,30 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
       });
     };
 
-    const int ops = 1200;
+    const int ops = 4500;
     for (int op = 0; op < ops || !ref.empty(); ++op) {
       const int dice = static_cast<int>(rng() % 100);
-      if (op < ops && (ref.empty() || dice < 50)) {
+      const int phase = (op / kPhaseOps) % 3;  // 0 mixed, 1 dense, 2 sparse
+      const int push_pct = phase == 1 ? 65 : phase == 2 ? 25 : 50;
+      if (op < ops && (ref.empty() || dice < push_pct)) {
         Time when = now;
-        switch (rng() % 5) {
-          case 0: when += static_cast<Time>(rng() % 50); break;          // staged front
-          case 1: when += static_cast<Time>(rng() % 100'000); break;     // ring
-          case 2: when += static_cast<Time>(rng() % 100'000'000); break; // overflow
-          case 3: when += seconds(std::int64_t{1}); break;               // far future
-          default: break;                                                // exact tie
+        if (phase == 1) {
+          when += (rng() % 10 == 0) ? static_cast<Time>(rng() % 50'000'000'000)  // far tail
+                                    : static_cast<Time>(rng() % 500);            // dense head
+        } else if (phase == 2) {
+          when += static_cast<Time>(1'000'000 + rng() % 100'000'000);  // 1-101 us ahead
+        } else {
+          switch (rng() % 5) {
+            case 0: when += static_cast<Time>(rng() % 50); break;          // staged front
+            case 1: when += static_cast<Time>(rng() % 100'000); break;     // ring
+            case 2: when += static_cast<Time>(rng() % 100'000'000); break; // overflow
+            case 3: when += seconds(std::int64_t{1}); break;               // far future
+            default: break;                                                // exact tie
+          }
         }
         const int burst = (rng() % 16 == 0) ? static_cast<int>(1 + rng() % 6) : 1;
         for (int b = 0; b < burst; ++b) push(when);
-      } else if (dice < 60 && !ref.empty()) {
+      } else if (dice < push_pct + 10 && !ref.empty()) {
         // Cancel a random pending event.
         const std::size_t victim = rng() % ref.size();
         ASSERT_TRUE(q.cancel(ref[victim].id));

@@ -84,6 +84,22 @@ TEST(Simulator, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(sim.now(), microseconds(std::int64_t{5}));
 }
 
+TEST(Simulator, RunUntilLeavesClockAtDeadline) {
+  sim::Simulator sim;
+  Time later_fired_at = 0;
+  sim.schedule_at(nanoseconds(10), [] {});
+  sim.schedule_at(nanoseconds(20), [&] { later_fired_at = sim.now(); });
+  sim.run_until(nanoseconds(15));
+  EXPECT_EQ(sim.now(), nanoseconds(15)) << "a pending later event must not hold the clock back";
+  sim.run_until(nanoseconds(25));
+  EXPECT_EQ(later_fired_at, nanoseconds(20));
+  EXPECT_EQ(sim.now(), nanoseconds(25));
+  // stop() leaves the clock at the stopping event.
+  sim.schedule_at(nanoseconds(30), [&] { sim.stop(); });
+  sim.run_until(nanoseconds(40));
+  EXPECT_EQ(sim.now(), nanoseconds(30));
+}
+
 TEST(Simulator, StopHaltsTheLoop) {
   sim::Simulator sim;
   int fired = 0;

@@ -15,17 +15,16 @@ namespace {
 using dynaq::core::DynaQConfig;
 using dynaq::core::DynaQController;
 
-DynaQController make_controller(int queues, bool loop_free) {
+DynaQController make_controller(int queues) {
   DynaQConfig cfg;
   cfg.buffer_bytes = 192'000;
   cfg.weights.assign(static_cast<std::size_t>(queues), 1.0);
-  cfg.loop_free_search = loop_free;
   return DynaQController(cfg);
 }
 
 void BM_OnArrival(benchmark::State& state) {
   const int queues = static_cast<int>(state.range(0));
-  auto ctl = make_controller(queues, /*loop_free=*/true);
+  auto ctl = make_controller(queues);
   dynaq::sim::Rng rng(1);
   std::vector<std::int64_t> occupancy(static_cast<std::size_t>(queues));
   // Pre-generate occupancy patterns so RNG cost stays out of the loop.
@@ -45,7 +44,7 @@ BENCHMARK(BM_OnArrival)->Arg(2)->Arg(4)->Arg(8)->Arg(64);
 
 void BM_VictimTournament(benchmark::State& state) {
   const int queues = static_cast<int>(state.range(0));
-  const auto ctl = make_controller(queues, true);
+  const auto ctl = make_controller(queues);
   int p = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctl.find_victim_tournament(p));
@@ -56,7 +55,7 @@ BENCHMARK(BM_VictimTournament)->Arg(2)->Arg(4)->Arg(8)->Arg(64);
 
 void BM_VictimLinear(benchmark::State& state) {
   const int queues = static_cast<int>(state.range(0));
-  const auto ctl = make_controller(queues, false);
+  const auto ctl = make_controller(queues);
   int p = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctl.find_victim_linear(p));
@@ -67,7 +66,7 @@ BENCHMARK(BM_VictimLinear)->Arg(2)->Arg(4)->Arg(8)->Arg(64);
 
 void BM_BelowThresholdFastPath(benchmark::State& state) {
   // The common case (line 1 false): queue under threshold, no search.
-  auto ctl = make_controller(8, true);
+  auto ctl = make_controller(8);
   const std::vector<std::int64_t> occupancy(8, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctl.on_arrival(occupancy, 3, 1500));

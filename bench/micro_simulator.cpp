@@ -5,7 +5,7 @@
 //   fanout — bulk out-of-order inserts across a wide horizon (overflow +
 //            window rebuilds + staged-front sorts)
 //   packet — tickers that capture a net::Packet by value (the serialization
-//            / propagation hop closure; must never heap-allocate)
+//            / propagation hop closure)
 //   cancel — a ticker that arms and cancels a far-future decoy per event
 //            (the retransmit-timer push-out pattern)
 //   skewed — 200 hop chains (one fire per 1.23 us, each scheduling a
@@ -14,11 +14,11 @@
 //            where a width fitted to the whole span turns the staged front
 //            into a sorted vector of thousands of entries
 //
-// Reports ns/event and events/sec (best of --reps passes) and the EventFn
-// heap-fallback count, which must stay zero (the hot path is
-// allocation-free). --assert-budget (used by ci.sh) fails the run when any
-// workload exceeds its soft ns/event budget or a closure falls back to the
-// heap.
+// Reports ns/event and events/sec (best of --reps passes). --assert-budget
+// (used by ci.sh) fails the run when any workload exceeds its soft
+// ns/event budget. Allocation-freedom needs no run-time gate: a closure
+// too big for an event slot does not compile (sim::InlineCallable).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,18 +36,12 @@ namespace {
 // post-rewrite numbers (chain ~19, fanout ~150, packet ~27, cancel ~40,
 // skewed ~40), loose enough for a busy shared single-core machine, tight
 // enough to catch a complexity regression: a bucket width fitted to the
-// whole span runs skewed at ~230. The hard gate is the heap-fallback
-// count: any per-event allocation fails the run regardless of timing.
+// whole span runs skewed at ~230.
 constexpr double kBudgetChainNs = 45.0;
 constexpr double kBudgetFanoutNs = 400.0;
 constexpr double kBudgetPacketNs = 65.0;
 constexpr double kBudgetCancelNs = 95.0;
 constexpr double kBudgetSkewedNs = 80.0;
-
-struct Measurement {
-  double ns_per_event = 0;
-  std::uint64_t heap_fallbacks = 0;
-};
 
 double secs(std::chrono::steady_clock::time_point a, std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -61,17 +55,17 @@ struct Ticker {
   }
 };
 
-Measurement chain_pass(long n) {
+double chain_pass(long n) {
   sim::Simulator sim;
   long remaining = n;
   const auto t0 = std::chrono::steady_clock::now();
   for (int c = 0; c < 4; ++c) sim.schedule_in(nanoseconds(10 + c), Ticker{&sim, &remaining});
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
-  return {secs(t0, t1) * 1e9 / static_cast<double>(n), sim.event_heap_fallbacks()};
+  return secs(t0, t1) * 1e9 / static_cast<double>(n);
 }
 
-Measurement fanout_pass(long width) {
+double fanout_pass(long width) {
   sim::Simulator sim;
   sim::Rng rng(1);
   long fired = 0;
@@ -82,12 +76,11 @@ Measurement fanout_pass(long width) {
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
   if (fired != width) std::abort();
-  return {secs(t0, t1) * 1e9 / static_cast<double>(width), sim.event_heap_fallbacks()};
+  return secs(t0, t1) * 1e9 / static_cast<double>(width);
 }
 
 // Mirrors the Port::start_transmission closure shape — one context pointer
-// plus a Packet by value (104 bytes, the largest inline-eligible capture;
-// see the static_asserts in net/port.hpp).
+// plus a Packet by value, the largest capture the models schedule.
 struct PacketChain {
   sim::Simulator* sim;
   long remaining;
@@ -104,9 +97,8 @@ struct PacketHop {
     }
   }
 };
-static_assert(sim::EventFn::fits_inline<PacketHop>());
 
-Measurement packet_pass(long n) {
+double packet_pass(long n) {
   sim::Simulator sim;
   PacketChain chain{&sim, n};
   const auto t0 = std::chrono::steady_clock::now();
@@ -116,7 +108,7 @@ Measurement packet_pass(long n) {
   }
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
-  return {secs(t0, t1) * 1e9 / static_cast<double>(n), sim.event_heap_fallbacks()};
+  return secs(t0, t1) * 1e9 / static_cast<double>(n);
 }
 
 // Retransmit-timer pattern: every tick re-arms a decoy deadline far in the
@@ -133,7 +125,7 @@ struct CancelTicker {
   }
 };
 
-Measurement cancel_pass(long n) {
+double cancel_pass(long n) {
   sim::Simulator sim;
   long remaining = n;
   sim::EventId decoy = sim::kNoEvent;
@@ -142,7 +134,7 @@ Measurement cancel_pass(long n) {
   sim.run_until(milliseconds(std::int64_t{100}));  // the last decoy never fires
   const auto t1 = std::chrono::steady_clock::now();
   if (remaining > 0 || sim.events_cancelled() != static_cast<std::uint64_t>(n) - 1) std::abort();
-  return {secs(t0, t1) * 1e9 / static_cast<double>(n), sim.event_heap_fallbacks()};
+  return secs(t0, t1) * 1e9 / static_cast<double>(n);
 }
 
 // One hop chain of the skewed workload: each fire schedules a delivery
@@ -157,7 +149,7 @@ struct HopChain {
 };
 
 // Cost is charged per fired event: chain fires, deliveries and timers.
-Measurement skewed_pass(long n) {
+double skewed_pass(long n) {
   sim::Simulator sim;
   sim::Rng rng(1);
   long remaining = n;
@@ -169,23 +161,19 @@ Measurement skewed_pass(long n) {
   for (int c = 0; c < 200; ++c) sim.schedule_at(period * c / 200, HopChain{&sim, &remaining});
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
-  return {secs(t0, t1) * 1e9 / static_cast<double>(sim.events_processed()),
-          sim.event_heap_fallbacks()};
+  return secs(t0, t1) * 1e9 / static_cast<double>(sim.events_processed());
 }
 
 template <typename F>
-Measurement best_of(F pass, int reps) {
-  Measurement best = pass();
-  for (int r = 1; r < reps; ++r) {
-    const Measurement m = pass();
-    if (m.ns_per_event < best.ns_per_event) best = m;
-  }
+double best_of(F pass, int reps) {
+  double best = pass();
+  for (int r = 1; r < reps; ++r) best = std::min(best, pass());
   return best;
 }
 
 struct Row {
   const char* name;
-  Measurement m;
+  double ns_per_event;
   double budget_ns;
 };
 
@@ -210,28 +198,22 @@ int main(int argc, char** argv) {
       {"skewed", best_of([&] { return skewed_pass(events); }, reps), kBudgetSkewedNs},
   };
 
-  std::printf("%-8s %12s %14s %14s\n", "workload", "ns/event", "Mevents/s", "heap-fallback");
+  std::printf("%-8s %12s %14s\n", "workload", "ns/event", "Mevents/s");
   for (const Row& r : rows) {
-    std::printf("%-8s %12.2f %14.2f %14llu\n", r.name, r.m.ns_per_event, 1e3 / r.m.ns_per_event,
-                static_cast<unsigned long long>(r.m.heap_fallbacks));
+    std::printf("%-8s %12.2f %14.2f\n", r.name, r.ns_per_event, 1e3 / r.ns_per_event);
   }
 
   if (assert_budget) {
     bool ok = true;
     for (const Row& r : rows) {
-      if (r.m.ns_per_event > r.budget_ns) {
+      if (r.ns_per_event > r.budget_ns) {
         std::fprintf(stderr, "FAIL: %s %.2f ns/event exceeds soft budget %.2f\n", r.name,
-                     r.m.ns_per_event, r.budget_ns);
-        ok = false;
-      }
-      if (r.m.heap_fallbacks != 0) {
-        std::fprintf(stderr, "FAIL: %s made %llu heap-fallback allocations (want 0)\n", r.name,
-                     static_cast<unsigned long long>(r.m.heap_fallbacks));
+                     r.ns_per_event, r.budget_ns);
         ok = false;
       }
     }
     if (!ok) return 1;
-    std::puts("\nPASS: all workloads within ns/event budgets, zero heap fallbacks");
+    std::puts("\nPASS: all workloads within ns/event budgets");
   }
   return 0;
 }

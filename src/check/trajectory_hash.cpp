@@ -10,14 +10,4 @@ TrajectoryHash& TrajectoryHash::fold(const AuditLedger& ledger) {
   return *this;
 }
 
-std::string TrajectoryHash::fingerprint_hex(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x0000000000000000";
-  for (std::size_t i = 17; i >= 2; --i) {
-    out[i] = kDigits[v & 0xfu];
-    v >>= 4;
-  }
-  return out;
-}
-
 }  // namespace dynaq::check

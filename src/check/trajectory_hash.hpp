@@ -53,11 +53,7 @@ class TrajectoryHash {
   TrajectoryHash& fold(const AuditLedger& ledger);
 
   std::uint64_t value() const { return h_; }
-  std::string hex() const { return fingerprint_hex(h_); }
-
-  // Canonical text form used by the sweep JSON and the ci.sh differential
-  // gate: "0x" + 16 lowercase hex digits.
-  static std::string fingerprint_hex(std::uint64_t v);
+  std::string hex() const { return sim::fingerprint_hex(h_); }
 
  private:
   std::uint64_t h_ = sim::kFnv1aOffset;

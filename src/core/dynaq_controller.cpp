@@ -139,7 +139,7 @@ Verdict DynaQController::on_arrival(std::span<const std::int64_t> queue_bytes, i
   if (queue_bytes[static_cast<std::size_t>(p)] + size <= t_p) return Verdict::kAdmit;
 
   // Line 2: victim selection.
-  const int v = config_.loop_free_search ? find_victim_tournament(p) : find_victim_linear(p);
+  const int v = find_victim_tournament(p);
   if (v < 0) {
     last_drop_cause_ = DropCause::kThreshold;  // single-queue port: no buffer to borrow
     return Verdict::kDrop;

@@ -42,7 +42,6 @@ struct DynaQConfig {
   VictimSelection victim = VictimSelection::kLargestExtra;
   SatisfactionRule satisfaction = SatisfactionRule::kBufferShare;
   std::int64_t bdp_bytes = 0;           // only for SatisfactionRule::kWeightedBdp
-  bool loop_free_search = true;         // MaxIdx tournament vs reference linear scan
 };
 
 enum class Verdict {

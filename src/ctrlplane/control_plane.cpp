@@ -205,7 +205,6 @@ void ControlPlanePolicy::send_update(bool reliable) {
   // stream stays aligned across seeds/scenarios (DESIGN.md §10).
   const double draw = rng_.uniform();
   if (!reliable && draw < loss_rate_) {
-    ++updates_lost_;
     emit_control(telemetry::EventKind::kControlUpdateLost, 0);
     return;
   }
@@ -213,11 +212,9 @@ void ControlPlanePolicy::send_update(bool reliable) {
   std::vector<std::int64_t> vec(ts.begin(), ts.end());
   const std::uint64_t seq = seq_;
   const std::uint64_t epoch = epoch_;
-  auto deliver = [this, vec = std::move(vec), seq, epoch]() mutable {
+  sim_.schedule_in(config_.update_delay, [this, vec = std::move(vec), seq, epoch]() mutable {
     commit(std::move(vec), seq, epoch);
-  };
-  static_assert(sizeof(deliver) <= sim::kEventInlineBytes);
-  sim_.schedule_in(config_.update_delay, std::move(deliver));
+  });
 }
 
 void ControlPlanePolicy::commit(std::vector<std::int64_t> vec, std::uint64_t seq,
@@ -228,7 +225,6 @@ void ControlPlanePolicy::commit(std::vector<std::int64_t> vec, std::uint64_t seq
   applied_seq_ = seq;
   enforced_ = std::move(vec);
   last_commit_ = sim_.now();
-  ++commits_;
   emit_control(telemetry::EventKind::kControlUpdate,
                static_cast<std::int64_t>(std::min<std::uint64_t>(
                    seq, static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()))));
@@ -264,7 +260,6 @@ void ControlPlanePolicy::probe() {
     if (dead) {
       failed_over_ = true;
       failover_time_ = sim_.now();
-      ++failovers_;
       const Time staleness =
           async() ? sim_.now() - last_commit_ : sim_.now() - fault_begin_;
       emit_control(telemetry::EventKind::kControlFailover,
@@ -294,10 +289,9 @@ void ControlPlanePolicy::restore() {
   // outage; the failover instant itself for pure channel-loss failovers)
   // to DynaQ enforcement resuming.
   const Time back_at = std::max({failover_time_, stall_until_, crashed_until_});
-  last_recovery_ = sim_.now() - std::min(back_at, sim_.now());
-  ++restores_;
+  const Time recovery = sim_.now() - std::min(back_at, sim_.now());
   emit_control(telemetry::EventKind::kControlRestore,
-               static_cast<std::int64_t>(to_microseconds(last_recovery_)));
+               static_cast<std::int64_t>(to_microseconds(recovery)));
 }
 
 void ControlPlanePolicy::schedule_tick() {

@@ -27,8 +27,9 @@
 //
 // Fault handles (stall_for / crash_for / set_update_loss) are driven by
 // scenario::ScenarioDirector actions (controller_stall / controller_crash /
-// control_loss_window) — conventions rule 14: controller state is mutated
-// only through this shim, never by poking core::DynaQController directly.
+// control_loss_window) — detlint rule ctrlplane-bypass: controller state is
+// mutated only through this shim, never by poking core::DynaQController
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -92,20 +93,6 @@ class ControlPlanePolicy final : public net::BufferPolicy {
   void set_update_loss(double rate);
   double base_update_loss() const { return config_.update_loss; }
 
-  // ---- introspection ------------------------------------------------------
-  bool inline_mode() const { return config_.update_period <= 0; }
-  bool failed_over() const { return failed_over_; }
-  bool controller_alive() const { return alive(); }
-  std::uint64_t updates_committed() const { return commits_; }
-  std::uint64_t updates_lost() const { return updates_lost_; }
-  std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t restores() const { return restores_; }
-  // Duration of the most recent restore, measured from the instant the
-  // controller came back to the instant DynaQ enforcement resumed.
-  Time last_recovery() const { return last_recovery_; }
-  const ControlPlaneConfig& config() const { return config_; }
-  const core::DynaQController& controller() const { return inline_.controller(); }
-
  private:
   // Which branch the most recent admit() took, so on_admit_aborted() and
   // the telemetry introspection forward only when DynaQ actually ran.
@@ -162,12 +149,7 @@ class ControlPlanePolicy final : public net::BufferPolicy {
   std::uint64_t epoch_ = 0;        // bumped per crash; voids in-flight commits
   Time last_commit_ = 0;
   Time failover_time_ = 0;
-  Time last_recovery_ = 0;
 
-  std::uint64_t commits_ = 0;
-  std::uint64_t updates_lost_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t restores_ = 0;
   AdmitPath admit_path_ = AdmitPath::kDelegated;
 };
 

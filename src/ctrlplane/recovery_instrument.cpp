@@ -19,14 +19,12 @@ void RecoveryInstrument::on_event(const telemetry::Event& e) {
       if (window_open_) degraded_bytes_ += e.bytes;
       break;
     case telemetry::EventKind::kControlFailover:
-      ++failovers_;
       if (!window_open_) {
         window_open_ = true;
         window_start_ = e.when;
       }
       break;
     case telemetry::EventKind::kControlRestore:
-      ++restores_;
       if (window_open_) {
         degraded_us_ += to_microseconds(e.when - window_start_);
         window_open_ = false;

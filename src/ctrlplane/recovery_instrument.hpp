@@ -15,7 +15,7 @@
 //     resuming (bounded by the watchdog probe period + re-sync commit).
 //
 // The instrument needs nothing beyond the event stream — no simulator or
-// policy access — so it works identically on live runs and replayed rings.
+// policy access.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +49,6 @@ class RecoveryInstrument {
   // the end of the run is closed at `run_duration`.
   Metrics finalize(Time run_duration) const;
 
-  std::uint64_t failovers_seen() const { return failovers_; }
-  std::uint64_t restores_seen() const { return restores_; }
-
  private:
   void on_event(const telemetry::Event& e);
 
@@ -62,8 +59,6 @@ class RecoveryInstrument {
   double max_recovery_us_ = 0.0;
   bool window_open_ = false;
   Time window_start_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t restores_ = 0;
 };
 
 }  // namespace dynaq::ctrlplane

@@ -1,8 +1,8 @@
-// The one JSON module (DESIGN.md §2). Every artifact the repo writes — sweep
-// results JSON and telemetry event dumps — is built as a json::Value and
-// serialized by dump(), and every reader parses into the same type. A leaf library: it includes no
-// other repo header (check_conventions.sh rule 15), so src/report can read
-// artifacts without linking any model library (rule 13).
+// The one JSON module (DESIGN.md §2). Every artifact the repo writes — the
+// sweep results JSON — is built as a json::Value and serialized by dump(),
+// and every reader parses into the same type. A leaf library: it includes
+// no other repo header (check_conventions.sh rule 15), so src/report can
+// read artifacts without linking any model library (rule 13).
 //
 // Objects preserve insertion order (vector of pairs, linear lookup): the
 // artifacts are small, and ordered keys keep every emitted file and every

@@ -50,16 +50,6 @@ class DeterministicLossQueue final : public QueueDisc {
                                   std::int64_t capacity_bytes = 0)
       : drops_(std::move(drop_ordinals)), inner_(capacity_bytes) {}
 
-  // Scripts additional losses at runtime (scenario loss actions, DESIGN.md
-  // §11): ordinals are absolute (the data-packet count since construction),
-  // so already-seen ordinals are inert. data_seen() gives the current
-  // position for relative scripting.
-  void add_drops(std::initializer_list<std::uint64_t> ordinals) {
-    drops_.insert(ordinals.begin(), ordinals.end());
-  }
-  void add_drop(std::uint64_t ordinal) { drops_.insert(ordinal); }
-  std::uint64_t data_seen() const { return data_seen_; }
-
   bool enqueue(Packet&& p) override {
     if (!p.is_ack() && drops_.erase(data_seen_++) > 0) {
       ++injected_;

@@ -111,11 +111,6 @@ class Port {
   }
 
   void start_transmission() {
-    // The serialize/propagate closures below capture a Packet by value;
-    // they must fit an event slot's inline buffer or every packet hop
-    // would heap-allocate (DESIGN.md §9).
-    static_assert(sim::EventFn::fits_inline<Packet>());
-    static_assert(sizeof(Packet) + sizeof(void*) <= sim::kEventInlineBytes);
     if (down_) return;
     auto next = qdisc_->dequeue();
     if (!next) return;

@@ -142,10 +142,7 @@ void ScenarioDirector::arm(const Scenario& scenario) {
   name_ = scenario.name;
   actions_ = scenario.actions;
 
-  // One inline closure per action (DESIGN.md §9): 16 bytes of captures
-  // ([this, i]), never a heap fallback. Ties at equal timestamps fire in
-  // arming order.
-  static_assert(sizeof(ScenarioDirector*) + sizeof(std::size_t) <= sim::kEventInlineBytes);
+  // One closure per action; ties at equal timestamps fire in arming order.
   for (std::size_t i = 0; i < actions_.size(); ++i) {
     sim_.schedule_at(actions_[i].at, [this, i] { apply(i); });
     if (actions_[i].kind == ActionKind::kControlLossWindow) {

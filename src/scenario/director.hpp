@@ -58,7 +58,7 @@ class ScenarioDirector {
   void register_link(const std::string& name, net::Port& port);
   // Control-plane shims (DESIGN.md §14): controller_stall / controller_crash
   // / control_loss_window act only through the shim's fault handles —
-  // conventions rule 14 bans any other controller mutation path.
+  // detlint's ctrlplane-bypass rule bans any other controller mutation path.
   void register_ctrlplane(const std::string& name, ctrlplane::ControlPlanePolicy& shim);
   // Senders are grouped by the service queue they feed; service_join /
   // service_leave act on every sender of the named queue.

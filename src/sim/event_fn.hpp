@@ -1,20 +1,19 @@
-// Move-only type-erased event callable with inline storage.
+// Type-erased event callable stored inline in its event-pool slot.
 //
 // The discrete-event engine fires millions of closures per simulated
 // second; wrapping each one in a std::function heap-allocates as soon as
 // the capture outgrows the library's tiny SBO (16 bytes in libstdc++ — a
-// single captured net::Packet is ~6x that). EventFn stores the callable
-// inline in a fixed-size buffer large enough for every closure the models
-// schedule (see the static_assert in net/port.hpp for the biggest one, a
-// packet-in-flight hop) and falls back to the heap only for oversized or
-// throwing-move callables. The engine counts those fallbacks
-// (EventQueue::heap_fallbacks) so the perf harness can assert the hot path
-// stays allocation-free.
+// single captured net::Packet is ~6x that). EventFn constructs the
+// callable in a fixed inline buffer sized for the largest closure the
+// models schedule (a packet-in-flight hop: a net::Packet plus one
+// pointer), invokes it once and destroys it. A callable that does not fit
+// is a compile error where it is scheduled (InlineCallable), so scheduling
+// never allocates; and since the callable never leaves its slot, EventFn
+// neither moves nor copies.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -23,59 +22,32 @@ namespace dynaq::sim {
 
 // Inline capacity, chosen so an event-pool slot (EventFn + bookkeeping,
 // see EventPool) is exactly two cache lines and a lambda capturing a
-// net::Packet by value plus one pointer fits without allocating.
+// net::Packet by value plus one pointer fits.
 inline constexpr std::size_t kEventInlineBytes = 104;
 inline constexpr std::size_t kEventInlineAlign = 16;
+
+// What the engine can schedule: an invocable that fits a slot's inline
+// buffer. EventFn::emplace, EventPool::acquire, EventQueue::push and
+// Simulator::schedule_at/in all require it.
+template <typename F>
+concept InlineCallable = std::invocable<std::remove_cvref_t<F>&> &&
+                         sizeof(std::remove_cvref_t<F>) <= kEventInlineBytes &&
+                         alignof(std::remove_cvref_t<F>) <= kEventInlineAlign;
 
 class EventFn {
  public:
   EventFn() = default;
-
-  template <typename F>
-    requires(!std::same_as<std::remove_cvref_t<F>, EventFn> &&
-             std::invocable<std::remove_cvref_t<F>&>)
-  explicit EventFn(F&& f) {
-    emplace(std::forward<F>(f));
-  }
-
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
-
-  EventFn(EventFn&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
   ~EventFn() { reset(); }
 
   // Constructs `f` in place, destroying any held callable first.
-  template <typename F>
-    requires(!std::same_as<std::remove_cvref_t<F>, EventFn> &&
-             std::invocable<std::remove_cvref_t<F>&>)
+  template <InlineCallable F>
   void emplace(F&& f) {
     using T = std::remove_cvref_t<F>;
     reset();
-    if constexpr (fits_inline<T>()) {
-      ::new (static_cast<void*>(storage_)) T(std::forward<F>(f));
-      ops_ = &kInlineOps<T>;
-    } else {
-      ::new (static_cast<void*>(storage_)) T*(new T(std::forward<F>(f)));
-      ops_ = &kHeapOps<T>;
-    }
+    ::new (static_cast<void*>(storage_)) T(std::forward<F>(f));
+    ops_ = &kOps<T>;
   }
 
   void reset() noexcept {
@@ -87,12 +59,6 @@ class EventFn {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  // True when the held callable lives on the heap (oversized capture).
-  bool on_heap() const { return ops_ != nullptr && ops_->heap; }
-
-  // Invokes the held callable. Precondition: bool(*this).
-  void operator()() { ops_->invoke(storage_); }
-
   // Invokes the held callable and destroys it (even when it throws),
   // leaving *this empty — one indirect call instead of invoke + destroy.
   // Precondition: bool(*this).
@@ -102,25 +68,14 @@ class EventFn {
     ops->consume(storage_);
   }
 
-  // Whether a callable of type T avoids the heap fallback.
-  template <typename T>
-  static constexpr bool fits_inline() {
-    return sizeof(T) <= kEventInlineBytes && alignof(T) <= kEventInlineAlign &&
-           std::is_nothrow_move_constructible_v<T>;
-  }
-
  private:
   struct Ops {
-    void (*invoke)(void*);
     void (*consume)(void*);  // invoke + destroy (destroys even on throw)
-    void (*relocate)(void* dst, void* src) noexcept;  // move-construct + destroy src
     void (*destroy)(void*) noexcept;
-    bool heap;
   };
 
   template <typename T>
-  static constexpr Ops kInlineOps{
-      [](void* p) { (*std::launder(reinterpret_cast<T*>(p)))(); },
+  static constexpr Ops kOps{
       [](void* p) {
         T* t = std::launder(reinterpret_cast<T*>(p));
         struct Guard {
@@ -129,28 +84,7 @@ class EventFn {
         } guard{t};
         (*t)();
       },
-      [](void* dst, void* src) noexcept {
-        T* s = std::launder(reinterpret_cast<T*>(src));
-        ::new (dst) T(std::move(*s));
-        s->~T();
-      },
-      [](void* p) noexcept { std::launder(reinterpret_cast<T*>(p))->~T(); },
-      /*heap=*/false};
-
-  template <typename T>
-  static constexpr Ops kHeapOps{
-      [](void* p) { (**std::launder(reinterpret_cast<T**>(p)))(); },
-      [](void* p) {
-        T* t = *std::launder(reinterpret_cast<T**>(p));
-        struct Guard {
-          T* t;
-          ~Guard() { delete t; }
-        } guard{t};
-        (*t)();
-      },
-      [](void* dst, void* src) noexcept { std::memcpy(dst, src, sizeof(T*)); },
-      [](void* p) noexcept { delete *std::launder(reinterpret_cast<T**>(p)); },
-      /*heap=*/true};
+      [](void* p) noexcept { std::launder(reinterpret_cast<T*>(p))->~T(); }};
 
   alignas(kEventInlineAlign) unsigned char storage_[kEventInlineBytes];
   const Ops* ops_ = nullptr;

@@ -23,15 +23,14 @@
 //    and width changes cannot reorder ties, so runs are fully
 //    deterministic.
 //
-//  * FiredEvent — a move-only handle returned by pop(): invokes the
-//    callable in place in its slot and recycles the slot on destruction
+//  * FiredEvent — the handle pop() returns: invokes the callable in
+//    place in its slot and recycles the slot on destruction
 //    (exception-safe: a throwing event still releases its slot).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -64,7 +63,7 @@ class EventPool {
 
   // Acquires a slot and constructs `f` in it. Returns the slot index; the
   // slot's generation is odd (= pending) afterwards.
-  template <typename F>
+  template <InlineCallable F>
   std::uint32_t acquire(F&& f) {
     if (free_head_ == kNone) add_chunk();
     const std::uint32_t idx = free_head_;
@@ -78,8 +77,6 @@ class EventPool {
       throw;
     }
     ++s.gen;  // even (free) -> odd (pending)
-    if constexpr (!EventFn::fits_inline<std::remove_cvref_t<F>>()) ++heap_fallbacks_;
-    ++live_;
     return idx;
   }
 
@@ -114,10 +111,6 @@ class EventPool {
     recycle(idx, s);
   }
 
-  std::size_t live_slots() const { return live_; }
-  std::size_t capacity() const { return total_; }
-  std::uint64_t heap_fallbacks() const { return heap_fallbacks_; }
-
   // Starts pulling a slot toward the cache without touching it (used to
   // overlap the next event's slot miss with the current event's work).
   void prefetch(std::uint32_t idx) const {
@@ -137,7 +130,6 @@ class EventPool {
   void recycle(std::uint32_t idx, Slot& s) {
     s.next_free = free_head_;
     free_head_ = idx;
-    --live_;
   }
 
   void add_chunk() {
@@ -155,51 +147,34 @@ class EventPool {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNone;
   std::uint32_t total_ = 0;
-  std::size_t live_ = 0;
-  std::uint64_t heap_fallbacks_ = 0;
 };
 
-// Move-only handle to a popped event: operator() invokes the callable in
-// place; the destructor recycles the slot (even if the callable threw).
-// Holds the resolved Slot* so firing touches the chunk table only once,
-// and the event's schedule-order sequence number so the simulator can fold
-// the pop stream into a trajectory fingerprint (DESIGN.md §10).
+// Handle to a popped event: operator() invokes the callable in place; the
+// destructor recycles the slot (even if the callable threw). Neither
+// copyable nor movable — pop() returns it as a prvalue — so exactly one
+// handle releases each slot. Holds the resolved Slot so firing touches the
+// chunk table only once, and the event's schedule-order sequence number so
+// the simulator can fold the pop stream into a trajectory fingerprint
+// (DESIGN.md §10).
 class [[nodiscard]] FiredEvent {
  public:
   FiredEvent(EventPool& pool, std::uint32_t idx, EventPool::Slot& s, std::uint64_t seq)
-      : pool_(&pool), slot_(&s), idx_(idx), seq_(seq) {}
+      : pool_(pool), slot_(s), idx_(idx), seq_(seq) {}
   FiredEvent(const FiredEvent&) = delete;
   FiredEvent& operator=(const FiredEvent&) = delete;
-  FiredEvent(FiredEvent&& other) noexcept
-      : pool_(other.pool_), slot_(other.slot_), idx_(other.idx_), seq_(other.seq_) {
-    other.pool_ = nullptr;
-  }
-  FiredEvent& operator=(FiredEvent&& other) noexcept {
-    if (this != &other) {
-      if (pool_ != nullptr) pool_->finish_fire(idx_, *slot_);
-      pool_ = other.pool_;
-      slot_ = other.slot_;
-      idx_ = other.idx_;
-      seq_ = other.seq_;
-      other.pool_ = nullptr;
-    }
-    return *this;
-  }
-  ~FiredEvent() {
-    if (pool_ != nullptr) pool_->finish_fire(idx_, *slot_);
-  }
+  ~FiredEvent() { pool_.finish_fire(idx_, slot_); }
 
   // Invokes and destroys the callable in one indirect call; the destructor
   // then only recycles the slot (EventFn::reset on an empty fn is free).
-  void operator()() { slot_->fn.consume(); }
+  void operator()() { slot_.fn.consume(); }
 
   // Global schedule-order sequence number of the popped event — with the
   // pop timestamp this uniquely identifies the trajectory step.
   std::uint64_t seq() const { return seq_; }
 
  private:
-  EventPool* pool_;
-  EventPool::Slot* slot_;
+  EventPool& pool_;
+  EventPool::Slot& slot_;
   std::uint32_t idx_;
   std::uint64_t seq_;
 };
@@ -232,7 +207,7 @@ class EventQueue {
 
   EventQueue() { buckets_.resize(nb_); }
 
-  template <typename F>
+  template <InlineCallable F>
   EventId push(Time when, F&& action) {
     const std::uint32_t idx = pool_.acquire(std::forward<F>(action));
     const std::uint32_t gen = pool_.generation(idx);
@@ -287,9 +262,8 @@ class EventQueue {
     return FiredEvent{pool_, e.slot, s, e.seq};
   }
 
-  // Engine statistics for the perf harness and tests.
+  // Engine statistic for the perf harness and tests.
   std::uint64_t cancelled() const { return cancelled_; }
-  std::uint64_t heap_fallbacks() const { return pool_.heap_fallbacks(); }
 
   // Queue memory in entries: `staged` entries wait in the sorted front
   // (live or cancelled), and `reserved` is the capacity of every entry

@@ -3,10 +3,12 @@
 // into a running digest when fingerprinting is enabled, and the layers
 // above (telemetry::Hub event bus, check::TrajectoryHash oracle) reuse the
 // same primitive so one hash algorithm covers the whole determinism
-// contract. Everything is constexpr and allocation-free.
+// contract. The folding primitives are constexpr and allocation-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace dynaq::sim {
 
@@ -24,6 +26,20 @@ constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t x) {
     x >>= 8;
   }
   return h;
+}
+
+// Canonical text form of a digest: "0x" + 16 lowercase hex digits. The
+// sweep JSON carries hashes in this form (a u64 does not survive a round
+// trip through JSON numbers, which are doubles), and the ci.sh
+// differential gate greps for it.
+inline std::string fingerprint_hex(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out = "0x0000000000000000";
+  for (std::size_t i = 17; i >= 2; --i) {
+    out[i] = kDigits[v & 0xfu];
+    v >>= 4;
+  }
+  return out;
 }
 
 }  // namespace dynaq::sim

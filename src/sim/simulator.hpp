@@ -6,15 +6,14 @@
 // simulations in one process.
 //
 // Scheduling is allocation-free on the hot path (DESIGN.md §9): callables
-// go straight into the Simulator's event arena (EventPool slots with
-// inline storage — no std::function, no per-event heap allocation) and the
-// pending-event set is a calendar queue whose staged front and memory stay
-// proportional to the live events, with O(1) cancellation. Determinism
-// contract: events at the same timestamp fire in the order they were
-// scheduled.
+// are built in place in the Simulator's event arena (EventPool slots with
+// inline storage — no std::function, no per-event heap allocation; a
+// capture too big for a slot does not compile) and the pending-event set
+// is a calendar queue whose staged front and memory stay proportional to
+// the live events, with O(1) cancellation. Determinism contract: events
+// at the same timestamp fire in the order they were scheduled.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -34,19 +33,18 @@ class Simulator {
   // Current simulation time. Monotonically non-decreasing.
   Time now() const { return now_; }
 
-  // Schedules `action` (any move-constructible callable) at absolute time
-  // `when`. Scheduling in the past is a programming error and throws. The
-  // returned id stays valid until the event fires or is cancelled.
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
+  // Schedules `action` (a callable that fits an event slot's inline
+  // buffer) at absolute time `when`. Scheduling in the past is a
+  // programming error and throws. The returned id stays valid until the
+  // event fires or is cancelled.
+  template <InlineCallable F>
   EventId schedule_at(Time when, F&& action) {
     if (when < now_) throw std::logic_error("Simulator: scheduling into the past");
     return events_.push(when, std::forward<F>(action));
   }
 
   // Schedules `action` `delay` after the current time.
-  template <typename F>
-    requires std::invocable<std::remove_cvref_t<F>&>
+  template <InlineCallable F>
   EventId schedule_in(Time delay, F&& action) {
     return schedule_at(now_ + delay, std::forward<F>(action));
   }
@@ -79,11 +77,6 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
   std::size_t events_pending() const { return events_.size(); }
   std::uint64_t events_cancelled() const { return events_.cancelled(); }
-
-  // Event-arena statistic (perf-regression harness, DESIGN.md §9):
-  // callables too large for a slot's inline buffer fall back to the heap;
-  // the hot path is expected to keep that count at zero.
-  std::uint64_t event_heap_fallbacks() const { return events_.heap_fallbacks(); }
 
   // Trajectory fingerprint (DESIGN.md §10): when enabled, every popped
   // event folds (when, seq) into an FNV-1a digest — one guarded branch per

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "json/json.hpp"
+#include "sim/fingerprint.hpp"
 #include "stats/percentile.hpp"
 
 namespace dynaq::sweep {
@@ -74,15 +74,6 @@ json::Value telemetry_json(const telemetry::TelemetrySummary& t) {
   }
   out.set("queue_delay", std::move(delays));
   return out;
-}
-
-// Hashes are emitted as "0x" + 16 hex digits: a u64 does not survive a
-// round-trip through JSON numbers (doubles), and the ci.sh differential
-// gate greps for this exact canonical form.
-std::string hash_hex(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -158,7 +149,7 @@ std::string ResultStore::to_json() const {
       for (const auto& [metric, v] : o.metrics) metrics.set(metric, v);
       job.set("metrics", std::move(metrics));
       if (o.telemetry) job.set("telemetry", telemetry_json(*o.telemetry));
-      if (o.trajectory_hash) job.set("trajectory_hash", hash_hex(*o.trajectory_hash));
+      if (o.trajectory_hash) job.set("trajectory_hash", sim::fingerprint_hex(*o.trajectory_hash));
     } else {
       job.set("error", o.error);
     }

@@ -11,6 +11,7 @@
 #include "harness/dynamic_experiment.hpp"
 #include "harness/static_experiment.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/fingerprint.hpp"
 #include "sim/simulator.hpp"
 #include "stats/fairness.hpp"
 #include "telemetry/hub.hpp"
@@ -118,7 +119,7 @@ TEST(TrajectoryHash, PinnedPerEntryPoint) {
   st.scenario = &mixed;
   const auto s = harness::run_static_experiment(st);
   EXPECT_GT(s.telemetry.scenario_actions, 0u);
-  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(s.trajectory_hash), "0x05600e22100bf113");
+  EXPECT_EQ(sim::fingerprint_hex(s.trajectory_hash), "0x05600e22100bf113");
   // The bottleneck meter sits outside the hash; pin the bytes it counted.
   std::int64_t metered = 0;
   for (std::size_t w = 0; w < s.meter.num_windows(); ++w) {
@@ -137,7 +138,7 @@ TEST(TrajectoryHash, PinnedPerEntryPoint) {
   ds.seed = 4;
   const auto d = harness::run_dynamic_star_experiment(ds);
   EXPECT_EQ(d.incomplete, 0u);
-  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(d.trajectory_hash), "0x44d0fba0d3e034c9");
+  EXPECT_EQ(sim::fingerprint_hex(d.trajectory_hash), "0x44d0fba0d3e034c9");
 
   harness::DynamicLeafSpineConfig ls;
   ls.fabric.num_leaves = 3;
@@ -147,7 +148,7 @@ TEST(TrajectoryHash, PinnedPerEntryPoint) {
   ls.seed = 5;
   const auto l = harness::run_dynamic_leaf_spine_experiment(ls);
   EXPECT_EQ(l.incomplete, 0u);
-  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(l.trajectory_hash), "0xe86331d145c15721");
+  EXPECT_EQ(sim::fingerprint_hex(l.trajectory_hash), "0xe86331d145c15721");
 }
 
 // Two trajectories with identical event timing but a different packet-level
@@ -193,11 +194,11 @@ TEST(TrajectoryHash, PopStreamSeesEventTiming) {
 }
 
 TEST(TrajectoryHash, HexIsCanonical) {
-  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(0), "0x0000000000000000");
-  EXPECT_EQ(check::TrajectoryHash::fingerprint_hex(0xdeadbeefcafe0123ull),
+  EXPECT_EQ(sim::fingerprint_hex(0), "0x0000000000000000");
+  EXPECT_EQ(sim::fingerprint_hex(0xdeadbeefcafe0123ull),
             "0xdeadbeefcafe0123");
   check::TrajectoryHash th;
-  EXPECT_EQ(th.hex(), check::TrajectoryHash::fingerprint_hex(th.value()));
+  EXPECT_EQ(th.hex(), sim::fingerprint_hex(th.value()));
 }
 
 // ----------------------------------- scheme x scheduler x cc sweep --

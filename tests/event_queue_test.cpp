@@ -1,8 +1,8 @@
 // Contract tests for the calendar-queue event engine (DESIGN.md §9):
 // strict (when, seq) pop order across rebuilds and window jumps, O(1)
-// cancellation semantics, inline-vs-heap callable storage, the staged
-// front and memory bounds on a skewed population, and a differential fuzz
-// against a reference model.
+// cancellation semantics, inline callable storage (an oversized capture
+// does not compile), the staged front and memory bounds on a skewed
+// population, and a differential fuzz against a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,32 +22,26 @@ namespace {
 
 // ------------------------------------------------------------- EventFn --
 
+// A capture too big for a slot's inline buffer is rejected where it is
+// scheduled: there is no heap fallback to absorb it.
+template <typename F>
+concept Schedulable = requires(sim::Simulator& sim, F f) {
+  sim.schedule_in(Time{1}, std::move(f));
+};
+
+constexpr auto kOversized = [big = std::array<std::uint64_t, 32>{}] { return big[0]; };
+static_assert(sizeof(kOversized) == 256 && sizeof(kOversized) > sim::kEventInlineBytes);
+static_assert(!Schedulable<decltype(kOversized)>);
+constexpr auto kFits = [word = std::uint64_t{0}] { return word; };
+static_assert(Schedulable<decltype(kFits)>);
+
 TEST(EventFn, SmallCallableStaysInline) {
   int hits = 0;
-  sim::EventFn fn([&hits] { ++hits; });
+  sim::EventFn fn;
+  fn.emplace([&hits] { ++hits; });
   ASSERT_TRUE(bool(fn));
-  EXPECT_FALSE(fn.on_heap());
-  fn();
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(EventFn, OversizedCallableFallsBackToHeap) {
-  std::array<std::uint64_t, 32> big{};  // 256 B > inline capacity
-  big[0] = 41;
-  std::uint64_t seen = 0;
-  sim::EventFn fn([big, &seen] { seen = big[0] + 1; });
-  EXPECT_TRUE(fn.on_heap());
-  fn();
-  EXPECT_EQ(seen, 42u);
-}
-
-TEST(EventFn, MoveTransfersOwnership) {
-  int hits = 0;
-  sim::EventFn a([&hits] { ++hits; });
-  sim::EventFn b(std::move(a));
-  EXPECT_FALSE(bool(a));  // NOLINT(bugprone-use-after-move): moved-from state is specified
-  ASSERT_TRUE(bool(b));
-  b();
+  fn.consume();
+  EXPECT_FALSE(bool(fn));
   EXPECT_EQ(hits, 1);
 }
 
@@ -63,11 +57,17 @@ TEST(EventFn, DestroysCapturesExactlyOnce) {
   };
   int dtors = 0;
   {
-    sim::EventFn fn([p = Probe(&dtors)] { (void)p; });
-    sim::EventFn moved(std::move(fn));
+    sim::EventFn fn;
+    fn.emplace([p = Probe(&dtors)] { (void)p; });
     EXPECT_EQ(dtors, 0);
   }
-  EXPECT_EQ(dtors, 1);
+  EXPECT_EQ(dtors, 1) << "an unfired callable dies with its slot";
+  sim::EventFn fn;
+  fn.emplace([p = Probe(&dtors)] { (void)p; });
+  fn.consume();
+  EXPECT_EQ(dtors, 2) << "consume() runs and destroys the callable";
+  fn.reset();
+  EXPECT_EQ(dtors, 2);
 }
 
 // ---------------------------------------------------- ordering contract --
@@ -395,7 +395,6 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
       ASSERT_EQ(q.size(), ref.size());
     }
     ASSERT_TRUE(q.empty());
-    EXPECT_EQ(q.heap_fallbacks(), 0u) << "fuzz closures must stay inline";
   }
 }
 

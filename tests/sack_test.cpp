@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "net/fault_injection.hpp"
 #include "net/node.hpp"
 #include "net/port.hpp"
 #include "sim/random.hpp"
@@ -20,23 +21,6 @@ namespace dynaq {
 namespace {
 
 // A two-host pipe with a loss-injection queue on the sender NIC.
-class LossQueue final : public net::QueueDisc {
- public:
-  explicit LossQueue(std::set<std::uint64_t> drops) : drops_(std::move(drops)) {}
-  bool enqueue(net::Packet&& p) override {
-    if (!p.is_ack() && drops_.erase(seen_++) > 0) return false;
-    return inner_.enqueue(std::move(p));
-  }
-  std::optional<net::Packet> dequeue() override { return inner_.dequeue(); }
-  bool empty() const override { return inner_.empty(); }
-  std::int64_t backlog_bytes() const override { return inner_.backlog_bytes(); }
-
- private:
-  std::set<std::uint64_t> drops_;
-  std::uint64_t seen_ = 0;
-  net::DropTailQueue inner_;
-};
-
 struct Pipe {
   sim::Simulator sim;
   std::unique_ptr<net::Host> a, b;
@@ -44,8 +28,9 @@ struct Pipe {
   std::vector<net::Packet> acks_seen;  // sniffed at the sender side
 
   explicit Pipe(std::set<std::uint64_t> drops = {}) {
-    auto nic_a = std::make_unique<net::Port>(sim, 1e9, microseconds(std::int64_t{50}),
-                                             std::make_unique<LossQueue>(std::move(drops)));
+    auto nic_a = std::make_unique<net::Port>(
+        sim, 1e9, microseconds(std::int64_t{50}),
+        std::make_unique<net::DeterministicLossQueue>(std::move(drops)));
     auto nic_b = std::make_unique<net::Port>(sim, 1e9, microseconds(std::int64_t{50}),
                                              std::make_unique<net::DropTailQueue>());
     net::connect(*nic_a, *nic_b);

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "net/fault_injection.hpp"
 #include "net/node.hpp"
 #include "net/port.hpp"
 #include "net/queue_disc.hpp"
@@ -180,31 +181,6 @@ TEST(Dctcp, AtMostOneReductionPerWindow) {
 
 // ------------------------------------------------ end-to-end with loss --
 
-// Queue discipline that drops chosen data-packet ordinals once — failure
-// injection for retransmission-path tests.
-class DropNthQueue final : public net::QueueDisc {
- public:
-  explicit DropNthQueue(std::set<std::uint64_t> drop_ordinals)
-      : drops_(std::move(drop_ordinals)) {}
-
-  bool enqueue(net::Packet&& p) override {
-    if (!p.is_ack()) {
-      const std::uint64_t ordinal = data_seen_++;
-      if (drops_.erase(ordinal) > 0) return false;
-    }
-    inner_.enqueue(std::move(p));
-    return true;
-  }
-  std::optional<net::Packet> dequeue() override { return inner_.dequeue(); }
-  bool empty() const override { return inner_.empty(); }
-  std::int64_t backlog_bytes() const override { return inner_.backlog_bytes(); }
-
- private:
-  std::set<std::uint64_t> drops_;
-  std::uint64_t data_seen_ = 0;
-  net::DropTailQueue inner_;
-};
-
 struct Pipe {
   sim::Simulator sim;
   std::unique_ptr<net::Host> a;
@@ -213,8 +189,9 @@ struct Pipe {
   std::unique_ptr<transport::HostAgent> agent_b;
 
   explicit Pipe(std::set<std::uint64_t> drop_ordinals = {}) {
-    auto nic_a = std::make_unique<net::Port>(sim, 1e9, microseconds(std::int64_t{50}),
-                                             std::make_unique<DropNthQueue>(drop_ordinals));
+    auto nic_a = std::make_unique<net::Port>(
+        sim, 1e9, microseconds(std::int64_t{50}),
+        std::make_unique<net::DeterministicLossQueue>(drop_ordinals));
     auto nic_b = std::make_unique<net::Port>(sim, 1e9, microseconds(std::int64_t{50}),
                                              std::make_unique<net::DropTailQueue>());
     net::connect(*nic_a, *nic_b);

@@ -27,7 +27,8 @@
 #      indirection defeats the inline-storage fast path).
 #  10. Determinism hazards (DESIGN.md §10) are delegated to tools/detlint:
 #      unordered-container iteration, wall-clock/raw-rand use in models,
-#      pointer-keyed ordering, unordered reductions.
+#      pointer-keyed ordering, unordered reductions, and controller
+#      mutations that bypass the ctrlplane shim (DESIGN.md §14).
 #  11. Scenario actions mutate components only via registered handle methods
 #      (set_weights, resize_buffer, set_link_down/up, set_rate,
 #      pause/resume, control-plane fault handles — DESIGN.md §11):
@@ -41,13 +42,6 @@
 #      model/runtime header (sim, net, core, transport, topo, harness,
 #      telemetry, sweep, scenario, check, stats, workload): expectations
 #      judge runs from their artifacts, never from simulator internals.
-#  14. Control-plane mutations go through the ctrlplane shim (DESIGN.md
-#      §14): outside src/core (the policy that owns it) and src/ctrlplane
-#      (the shim), no src/ code may drive core::DynaQController's mutating
-#      entry points (on_arrival / undo_last_exchange / reinitialize) — stale
-#      thresholds, watchdog failover and re-sync all flow through
-#      ctrlplane::ControlPlanePolicy so the bounded-staleness audit and the
-#      trajectory hash see every change.
 #  15. One JSON module (DESIGN.md §2): every artifact is built as a
 #      json::Value and written by its dump(), the only number formatter and
 #      string escaper, so no C++ string literal in src/, bench/ or tools/
@@ -184,15 +178,6 @@ fi
 hits=$(grep -rnE '#include "' src/json/ | grep -vE '#include "json/' || true)
 if [[ -n "$hits" ]]; then
   complain "one-json-module" "src/json is a leaf library; it must not include other repo headers:" \
-    "$hits"
-fi
-
-# -- 14. controller mutations only via src/core + src/ctrlplane (§14) ---------
-hits=$(grep -rnE '\.(on_arrival|undo_last_exchange|reinitialize)\s*\(' src/ \
-  | grep -vE '^src/(core|ctrlplane)/' | grep -vE '^\S+:\s*//' || true)
-if [[ -n "$hits" ]]; then
-  complain "ctrlplane-shim-only" \
-    "DynaQController mutations outside src/core and src/ctrlplane bypass the control-plane shim (DESIGN.md §14):" \
     "$hits"
 fi
 

@@ -1,6 +1,6 @@
 // Perf-regression harness for the event engine (DESIGN.md §9).
 //
-// Five workloads exercise the hot paths the models hit:
+// Six workloads exercise the hot paths the models hit:
 //   chain  — self-rescheduling tickers (steady-state ring insert/pop)
 //   fanout — bulk out-of-order inserts across a wide horizon (overflow +
 //            window rebuilds + staged-front sorts)
@@ -13,6 +13,11 @@
 //            50 ms: the leaf-spine run's dense near-term head and far tail,
 //            where a width fitted to the whole span turns the staged front
 //            into a sorted vector of thousands of entries
+//   wire   — 4 links firing every 12 us, each fire a delivery 125 us
+//            ahead and each delivery an event 0.32 us ahead, against 250
+//            far events over 4 s: the Fig. 8 star's shape, whose tens-of-ms
+//            width stages every pending event in one bucket, so near-term
+//            pushes land in front of ~45 staged entries
 //
 // Reports ns/event and events/sec (best of --reps passes). --assert-budget
 // (used by ci.sh) fails the run when any workload exceeds its soft
@@ -34,14 +39,15 @@ namespace {
 
 // Soft budgets (ns/event) for --assert-budget: ~2-2.5x the measured
 // post-rewrite numbers (chain ~19, fanout ~150, packet ~27, cancel ~40,
-// skewed ~40), loose enough for a busy shared single-core machine, tight
-// enough to catch a complexity regression: a bucket width fitted to the
-// whole span runs skewed at ~230.
+// skewed ~40, wire ~20), loose enough for a busy shared single-core
+// machine, tight enough to catch a complexity regression: a bucket width
+// fitted to the whole span runs skewed at ~230.
 constexpr double kBudgetChainNs = 45.0;
 constexpr double kBudgetFanoutNs = 400.0;
 constexpr double kBudgetPacketNs = 65.0;
 constexpr double kBudgetCancelNs = 95.0;
 constexpr double kBudgetSkewedNs = 80.0;
+constexpr double kBudgetWireNs = 50.0;
 
 double secs(std::chrono::steady_clock::time_point a, std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -164,6 +170,36 @@ double skewed_pass(long n) {
   return secs(t0, t1) * 1e9 / static_cast<double>(sim.events_processed());
 }
 
+// One link of the wire workload: each fire schedules a delivery one
+// propagation delay ahead and the link's next fire one serialization
+// later; each delivery schedules the next hop's event 0.32 us ahead.
+struct WireLink {
+  sim::Simulator* sim;
+  long* remaining;
+  void operator()() const {
+    sim->schedule_in(microseconds(std::int64_t{125}),
+                     [s = sim] { s->schedule_in(nanoseconds(320), [] {}); });
+    if (--*remaining > 0) sim->schedule_in(microseconds(std::int64_t{12}), *this);
+  }
+};
+
+// Cost is charged per fired event: link fires, deliveries, their
+// follow-ups and the far events.
+double wire_pass(long n) {
+  sim::Simulator sim;
+  sim::Rng rng(1);
+  long remaining = n;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int t = 0; t < 250; ++t) {
+    sim.schedule_at(rng.uniform_int(0, seconds(std::int64_t{4})), [] {});
+  }
+  const Time period = microseconds(std::int64_t{12});
+  for (int l = 0; l < 4; ++l) sim.schedule_at(period * l / 4, WireLink{&sim, &remaining});
+  sim.run();
+  const auto t1 = std::chrono::steady_clock::now();
+  return secs(t0, t1) * 1e9 / static_cast<double>(sim.events_processed());
+}
+
 template <typename F>
 double best_of(F pass, int reps) {
   double best = pass();
@@ -196,6 +232,7 @@ int main(int argc, char** argv) {
       {"packet", best_of([&] { return packet_pass(events); }, reps), kBudgetPacketNs},
       {"cancel", best_of([&] { return cancel_pass(events); }, reps), kBudgetCancelNs},
       {"skewed", best_of([&] { return skewed_pass(events); }, reps), kBudgetSkewedNs},
+      {"wire", best_of([&] { return wire_pass(events); }, reps), kBudgetWireNs},
   };
 
   std::printf("%-8s %12s %14s\n", "workload", "ns/event", "Mevents/s");

@@ -4,6 +4,9 @@
 #
 #   1. RelWithDebInfo with -Werror           (the performance configuration)
 #      + trajectory-hash differential gate   (DESIGN.md §10)
+#      + fidelity gate over the smoke
+#        snapshot and the default-scale
+#        sweeps the catalogue reads          (DESIGN.md §13)
 #      + perfbench self-tests and one traced
 #        run per workload                    (perfbench/README.md)
 #   2. Debug with ASan+UBSan, full ctest     (the memory/UB configuration)
@@ -55,6 +58,18 @@ echo "==> [1/4] fidelity report gate (report_gen, DESIGN.md §13)"
 # Evaluate the expectation catalogue over the committed smoke snapshot
 # (ctest checked it against a fresh run); any failed expectation fails CI.
 build-ci/tools/report_gen --gate --sweep BENCH_sweep.json --out results/REPORT.md
+echo "==> [1/4] catalogue gate over the default-scale sweeps (DESIGN.md §13)"
+# The smoke snapshot feeds 3 of the catalogue's 17 entries; the eight
+# sweeps the catalogue reads, at default scale, feed all of them, so every
+# shape claim is judged (ctest's report_gate_results_* rows prove a
+# violating sweep fails this gate).
+rm -rf build-ci/gate
+mkdir -p build-ci/gate/json
+for sweep in fig08_fct_non_ecn fig09_fct_ecn fig12_many_flows fig13_leaf_spine \
+             abl_competitive rob_link_flap rob_weight_churn rob_controller; do
+  "build-ci/bench/$sweep" --jobs "$jobs" --json build-ci/gate/json > /dev/null
+done
+build-ci/tools/report_gen --gate --results build-ci/gate --out build-ci/gate/REPORT.md
 echo "==> [1/4] perfbench self-tests (GTest + run.py)"
 # The repo benchmark compiles src/ through its own CMake package, so a
 # library change can break it without breaking the root build; its traced ==

@@ -9,7 +9,8 @@
 // with status 2, as do a seed that is negative or fractional (--seeds=1.5),
 // a count, size or duration of 0 (--flows=0), a real value that is not
 // positive (--loads=0; every real flag is a load, rate, weight, count or
-// duration) and a bare text flag (--csv).
+// duration), a text flag that is bare or empty (--csv, --json=) and a
+// boolean flag given any value but true, false, 1 or 0 (--full=off).
 #pragma once
 
 #include <charconv>
@@ -51,11 +52,16 @@ class Cli {
     return values_.contains(name);
   }
 
+  // A boolean: bare (--full) or true, false, 1 or 0. Any other value exits
+  // 2, so --full=off cannot read as true and --full 7 cannot swallow the 7.
   bool flag(const std::string& name, bool fallback = false) const {
     queried_.insert(name);
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    return it->second != "false" && it->second != "0";
+    const std::string& v = it->second;
+    if (v == "true" || v == "1") return true;
+    if (v != "false" && v != "0") reject(name, v, "a boolean (true, false, 1 or 0)");
+    return false;
   }
 
   std::int64_t integer(const std::string& name, std::int64_t fallback) const {
@@ -90,7 +96,9 @@ class Cli {
     queried_.insert(name);
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    if (bare_.contains(name)) {  // a bare --csv would name a directory "true"
+    // A bare --csv would name a directory "true", and an empty --json=
+    // would read as not given: the run would write no artifact and exit 0.
+    if (bare_.contains(name) || it->second.empty()) {
       std::fprintf(stderr, "error: --%s needs a value\n", name.c_str());
       std::exit(2);
     }

@@ -15,9 +15,10 @@
 //    unsorted 24-byte POD entries {when, seq, slot, gen}; the bucket at
 //    the cursor is staged into a sorted "front" vector and popped with an
 //    index. The bucket width is fitted to the head of the queue and the
-//    staged front is kept near kFrontBound entries, so an insert shifts a
-//    bounded number of entries; drained buckets give back burst capacity,
-//    so the entry vectors stay proportional to the live events.
+//    staged front is kept near kFrontBound entries, and an insert into it
+//    moves only the entries between its place and the nearer end of the
+//    staged run; drained buckets give back burst capacity, so the entry
+//    vectors stay proportional to the live events.
 //    Same-timestamp events fire in schedule order via a global sequence
 //    number (FIFO tie-break), independent of bucket geometry — rebuilds
 //    and width changes cannot reorder ties, so runs are fully
@@ -199,7 +200,7 @@ class EventQueue {
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
   // Staged entries past which an insert refits the width: an insert into
-  // the sorted front shifts at most about this many entries.
+  // the sorted front moves at most about this many entries.
   static constexpr std::size_t kFrontBound = 256;
   // Entries a drained bucket keeps reserved; a burst's larger buffer is
   // given back when the bucket is staged or rebuilt.
@@ -315,17 +316,42 @@ class EventQueue {
 
   void insert(const Entry& e) {
     if (e.when < front_end_) {
-      // Belongs to the already-staged region: keep front_ sorted. The
-      // common case (an event for the current slot, largest seq so far)
-      // appends at the end; self-rescheduling chains hit this path on
-      // every push.
-      if (front_.empty() || !earlier(e, front_.back())) {
+      // Belongs to the already-staged region: keep front_ sorted. Only
+      // push() gets here (rebuild() files every entry at or past
+      // front_end_), so `e` has the largest seq yet and goes after every
+      // staged entry of its timestamp: its time alone places it. The
+      // common case (an event for the current slot) appends at the end;
+      // self-rescheduling chains hit this path on every push.
+      if (front_.empty() || front_.back().when <= e.when) {
         front_.push_back(e);
         return;
       }
-      const auto at = std::lower_bound(front_.begin() + static_cast<std::ptrdiff_t>(front_head_),
-                                       front_.end(), e, earlier);
-      front_.insert(at, e);
+      // Walk in from both ends of the staged run to the entry's place, so
+      // the walk, like the move after it, costs the distance to the nearer
+      // end. Invariant: front_[front_head_, lo) is earlier than `e` and
+      // front_[hi, end) later; the back is later, so hi starts below it.
+      std::size_t lo = front_head_;
+      std::size_t hi = front_.size() - 1;
+      while (lo < hi) {
+        if (e.when < front_[lo].when) {
+          hi = lo;
+        } else if (e.when < front_[hi - 1].when) {
+          ++lo;
+          --hi;
+        } else {
+          lo = hi;
+        }
+      }
+      // Nearer the head, with a popped slot free below it: slide the earlier
+      // entries down one. Otherwise shift the later entries up.
+      if (front_head_ > 0 && lo - front_head_ < front_.size() - lo) {
+        const auto head = front_.begin() + static_cast<std::ptrdiff_t>(front_head_);
+        std::move(head, front_.begin() + static_cast<std::ptrdiff_t>(lo), head - 1);
+        --front_head_;
+        front_[lo - 1] = e;
+      } else {
+        front_.insert(front_.begin() + static_cast<std::ptrdiff_t>(lo), e);
+      }
       return;
     }
     const std::int64_t s = slot_of(e.when);

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -234,6 +236,78 @@ TEST(EventQueue, ReservedEntriesDoNotGrowWithRunLength) {
   EXPECT_LT(q.footprint().reserved, 2 * early) << "after " << to_microseconds(now) << " us";
 }
 
+// ------------------------------------------------ staged-front inserts --
+
+// A queue whose events record their push index when they fire. The
+// (when, seq) contract makes the expected pop order the push list stably
+// sorted by time.
+struct TaggedQueue {
+  sim::EventQueue q;
+  std::vector<Time> pushed;  // when, by push index
+  std::vector<int> fired;    // push indices, in pop order
+  Time now = 0;
+
+  void push(Time when) {
+    const int tag = static_cast<int>(pushed.size());
+    q.push(when, [tag, this] { fired.push_back(tag); });
+    pushed.push_back(when);
+  }
+  void pop() { q.pop(now)(); }
+  std::vector<int> fifo_order() const {
+    std::vector<int> tags(pushed.size());
+    std::iota(tags.begin(), tags.end(), 0);
+    std::stable_sort(tags.begin(), tags.end(),
+                     [this](int a, int b) { return pushed[a] < pushed[b]; });
+    return tags;
+  }
+};
+
+// 40 events 20 ns apart plus two more at 120 ns: one bucket of the default
+// 1 us width, which next_time() stages whole.
+void stage_forty(TaggedQueue& t) {
+  for (int k = 1; k <= 40; ++k) t.push(nanoseconds(20) * k);
+  t.push(nanoseconds(120));
+  t.push(nanoseconds(120));
+  ASSERT_EQ(t.q.next_time(), nanoseconds(20));
+  ASSERT_EQ(t.q.footprint().staged, 42u) << "the test needs one staged bucket";
+}
+
+// With popped slots below the head, a push nearer the head than the tail
+// slides the earlier staged entries down one instead of shifting the later
+// ones up. The staged run must stay in (when, seq) order: a push that ties
+// the head's timestamp lands after every earlier-scheduled tie, whichever
+// side moves.
+TEST(EventQueue, HeadSidePushesSlideIntoThePoppedPrefix) {
+  TaggedQueue t;
+  stage_forty(t);
+  for (int i = 0; i < 4; ++i) t.pop();  // 20-80 ns; the head is now 100 ns
+  t.push(nanoseconds(90));   // in front of the head
+  t.push(nanoseconds(120));  // ties the three staged 120 ns entries
+  t.push(nanoseconds(110));
+  t.push(nanoseconds(100));  // ties the head itself
+  t.pop();
+  t.push(nanoseconds(120));  // a fifth 120 ns tie, after a pop
+  t.push(nanoseconds(780));  // ties an entry next to the tail: shifts up
+  t.push(nanoseconds(800));  // ties the last entry: appends
+  EXPECT_EQ(t.q.footprint().staged, 44u);
+  while (!t.q.empty()) t.pop();
+  EXPECT_EQ(t.fired, t.fifo_order());
+}
+
+// Right after staging nothing has been popped, so there is no slot below
+// the head to slide into: a head-side push shifts the later entries up.
+TEST(EventQueue, HeadSidePushBeforeAnyPopShiftsUp) {
+  TaggedQueue t;
+  stage_forty(t);
+  t.push(nanoseconds(10));  // in front of everything
+  t.push(nanoseconds(20));  // ties the head
+  t.push(nanoseconds(50));
+  t.push(nanoseconds(120));
+  EXPECT_EQ(t.q.next_time(), nanoseconds(10));
+  while (!t.q.empty()) t.pop();
+  EXPECT_EQ(t.fired, t.fifo_order());
+}
+
 // --------------------------------------------------------- cancellation --
 
 TEST(EventQueue, CancelPendingEventNeverFires) {
@@ -328,13 +402,18 @@ struct RefEntry {
 // that exercise the overflow window) must pop in exact (when, seq) order.
 // Density phases rotate every kPhaseOps ops: the original mix; dense
 // near-term bursts against a far tail, which fatten the staged front and
-// grow the ring; and sparse stretches that drain it. Refits, growth and
-// shrink rebuilds and overflow jumps all run under the reference model.
+// grow the ring; sparse stretches that drain it; and the Fig. 8 star's
+// shape. A width changes only at a rebuild, so the star phase drains the
+// queue and starts a fresh one, whose far events force a growth rebuild
+// to a width of tens of ms; deliveries and timers then wait in one staged
+// bucket that near-term pushes land in front of, sliding the earlier
+// entries, cancelled ones included, into the popped prefix. Refits, growth
+// and shrink rebuilds and overflow jumps all run under the reference model.
 TEST(EventQueue, FuzzMatchesReferenceModel) {
   constexpr int kPhaseOps = 750;
   for (int round = 0; round < 60; ++round) {
     std::mt19937_64 rng(round);
-    sim::EventQueue q;
+    std::optional<sim::EventQueue> q(std::in_place);
     std::vector<RefEntry> ref;
     std::uint64_t seq = 0;
     Time now = 0;
@@ -342,21 +421,44 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
 
     auto push = [&](Time when) {
       const std::uint64_t s = seq++;
-      const sim::EventId id = q.push(when, [s, &fired_seq] { fired_seq = s; });
+      const sim::EventId id = q->push(when, [s, &fired_seq] { fired_seq = s; });
       ref.push_back({when, s, id});
     };
-    auto ref_min = [&] {
-      return std::min_element(ref.begin(), ref.end(), [](const RefEntry& a, const RefEntry& b) {
-        if (a.when != b.when) return a.when < b.when;
-        return a.seq < b.seq;
-      });
+    // Pops one event and checks it is the model's earliest.
+    auto pop_matches = [&]() -> ::testing::AssertionResult {
+      const auto it = std::min_element(ref.begin(), ref.end(),
+                                       [](const RefEntry& a, const RefEntry& b) {
+                                         if (a.when != b.when) return a.when < b.when;
+                                         return a.seq < b.seq;
+                                       });
+      if (q->next_time() != it->when) {
+        return ::testing::AssertionFailure() << "next_time " << q->next_time() << " != " << it->when;
+      }
+      Time popped = now;
+      q->pop(popped)();
+      if (popped != it->when || fired_seq != it->seq) {
+        return ::testing::AssertionFailure() << "popped (" << popped << ", seq " << fired_seq
+                                             << "), model (" << it->when << ", seq " << it->seq
+                                             << ")";
+      }
+      now = popped;
+      ref.erase(it);
+      return ::testing::AssertionSuccess();
     };
 
-    const int ops = 4500;
+    const int ops = 6000;
     for (int op = 0; op < ops || !ref.empty(); ++op) {
       const int dice = static_cast<int>(rng() % 100);
-      const int phase = (op / kPhaseOps) % 3;  // 0 mixed, 1 dense, 2 sparse
+      const int phase = (op / kPhaseOps) % 4;  // 0 mixed, 1 dense, 2 sparse, 3 star
       const int push_pct = phase == 1 ? 65 : phase == 2 ? 25 : 50;
+      if (phase == 3 && op % kPhaseOps == 0 && op < ops) {
+        while (!ref.empty()) ASSERT_TRUE(pop_matches()) << "round " << round << " op " << op;
+        q.emplace();
+        // 160 events over 4 s: the growth rebuild at the 129th fits 60-120 ms.
+        for (int f = 0; f < 160; ++f) {
+          push(now + static_cast<Time>(rng() % seconds(std::int64_t{4})));
+        }
+      }
       if (op < ops && (ref.empty() || dice < push_pct)) {
         Time when = now;
         if (phase == 1) {
@@ -364,6 +466,14 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
                                     : static_cast<Time>(rng() % 500);            // dense head
         } else if (phase == 2) {
           when += static_cast<Time>(1'000'000 + rng() % 100'000'000);  // 1-101 us ahead
+        } else if (phase == 3) {
+          switch (rng() % 8) {
+            case 0: when += milliseconds(std::int64_t{10}); break;  // timer
+            case 1:
+            case 2:
+            case 3: when += microseconds(std::int64_t{125}); break;  // delivery, FIFO
+            default: when += nanoseconds(300) + static_cast<Time>(rng() % 11'700'000); break;
+          }
         } else {
           switch (rng() % 5) {
             case 0: when += static_cast<Time>(rng() % 50); break;          // staged front
@@ -378,23 +488,15 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
       } else if (dice < push_pct + 10 && !ref.empty()) {
         // Cancel a random pending event.
         const std::size_t victim = rng() % ref.size();
-        ASSERT_TRUE(q.cancel(ref[victim].id));
-        ASSERT_FALSE(q.cancel(ref[victim].id));
+        ASSERT_TRUE(q->cancel(ref[victim].id));
+        ASSERT_FALSE(q->cancel(ref[victim].id));
         ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(victim));
       } else if (!ref.empty()) {
-        const auto it = ref_min();
-        ASSERT_EQ(q.next_time(), it->when) << "round " << round << " op " << op;
-        Time popped = now;
-        auto ev = q.pop(popped);
-        ev();
-        ASSERT_EQ(popped, it->when) << "round " << round << " op " << op;
-        ASSERT_EQ(fired_seq, it->seq) << "round " << round << " op " << op;
-        now = popped;
-        ref.erase(it);
+        ASSERT_TRUE(pop_matches()) << "round " << round << " op " << op;
       }
-      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q->size(), ref.size());
     }
-    ASSERT_TRUE(q.empty());
+    ASSERT_TRUE(q->empty());
   }
 }
 

@@ -177,6 +177,29 @@ TEST(CliDeathTest, BareTextFlagExitsNamingTheFlag) {
   EXPECT_TRUE(make_cli({"--full"}).flag("full"));
 }
 
+// An empty text value is refused like a bare one: read as "not given",
+// --json= would run the sweep and exit 0 without writing its artifact.
+TEST(CliDeathTest, EmptyTextFlagExitsNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--json="}).text("json", ""), usage_error, "--json needs a value");
+  EXPECT_EXIT(make_cli({"--csv", ""}).text("csv", ""), usage_error, "--csv needs a value");
+}
+
+// A boolean flag takes no value but true, false, 1 or 0, so --full=off
+// cannot read as true and --full 7 cannot swallow the 7.
+TEST(CliDeathTest, NonBooleanFlagValueExitsNamingTheFlag) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(make_cli({"--full=off"}).flag("full"), usage_error,
+              "--full: 'off' is not a boolean \\(true, false, 1 or 0\\)");
+  EXPECT_EXIT(make_cli({"--full", "7"}).flag("full"), usage_error, "--full: '7' is not a boolean");
+  EXPECT_EXIT(make_cli({"--full="}).flag("full"), usage_error, "--full: '' is not a boolean");
+  const auto cli = make_cli({"--a=true", "--b=1", "--c=false", "--d", "0"});
+  EXPECT_TRUE(cli.flag("a"));
+  EXPECT_TRUE(cli.flag("b"));
+  EXPECT_FALSE(cli.flag("c"));
+  EXPECT_FALSE(cli.flag("d", true));
+}
+
 // -------------------------------------------------------------- Table --
 
 TEST(Table, AlignsColumns) {
